@@ -21,7 +21,6 @@ from .distributions import (
     expected_reward,
     mean_completion,
     reward_per_processing_time,
-    sample_task,
     truncated_mean_time,
 )
 from .learning import LearnerParams, OnlineLearner
@@ -95,7 +94,6 @@ __all__ = [
     "regret_curve",
     "reward_per_processing_time",
     "run_episode",
-    "sample_task",
     "selection_from_fractions",
     "solve",
     "solve_fractions",

@@ -6,8 +6,9 @@
     fairtime moments  <config.json>   moment table over the deadline menu
 
 Outputs are CSV files in --out-dir plus a human-readable summary on stdout.
-CSV bodies are byte-identical for identical config + seed, at any thread
-count.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+CSV bodies are byte-identical for identical config + seed; trials always run
+serially, so --threads does not change them.  Exit codes: 0 success,
+2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -111,13 +112,12 @@ def _build_policy(cfg: ExperimentConfig, exp: SimulateExperiment):
     return OnlinePolicy(params), v
 
 
-def _cmd_simulate(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
+def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     exp = cfg.experiment
     policy, v = _build_policy(cfg, exp)
     mc = monte_carlo(
         list(cfg.groups), cfg.deadlines, list(cfg.utilities), policy,
-        exp.budget, exp.trials, cfg.seed,
-        threads=threads, truncate_last=cfg.truncate_last,
+        exp.budget, exp.trials, cfg.seed, truncate_last=cfg.truncate_last,
     )
     alpha = cfg.utilities[0].alpha
     print(f"policy={policy.label} alpha={_fmt(alpha)} budget={_fmt(exp.budget)} "
@@ -173,13 +173,13 @@ def _write_trace(cfg: ExperimentConfig, policy: OnlinePolicy, budget: float, out
     print(f"wrote {path} ({len(rows)} tasks, first trial)")
 
 
-def _cmd_regret(cfg: ExperimentConfig, out_dir: str, threads: int) -> int:
+def _cmd_regret(cfg: ExperimentConfig, out_dir: str) -> int:
     exp = cfg.experiment
     curve = regret_curve(
         list(cfg.groups), cfg.deadlines, list(cfg.utilities),
         list(exp.budget_grid), exp.trials, cfg.seed,
         delay=cfg.feedback_delay, target_rate_cap=cfg.target_rate_cap,
-        v_override=cfg.v, threads=threads, truncate_last=cfg.truncate_last,
+        v_override=cfg.v, truncate_last=cfg.truncate_last,
     )
     if cfg.v is None:
         print("v per point: sqrt(budget/log(budget))")
@@ -225,7 +225,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out-dir", default=".", help="directory for CSV outputs")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
-        p.add_argument("--threads", type=int, default=1, help="worker threads for trials")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; trials run serially, so "
+                            "the value does not change the run or its output")
 
     args = parser.parse_args(argv)
     try:
@@ -247,14 +249,14 @@ def main(argv: list[str] | None = None) -> int:
                     [("experiment.kind",
                       f'subcommand "simulate" needs kind "simulate", got "{cfg.experiment.kind}"')]
                 )
-            return _cmd_simulate(cfg, args.out_dir, args.threads)
+            return _cmd_simulate(cfg, args.out_dir)
         if args.command == "regret":
             if not isinstance(cfg.experiment, RegretExperiment):
                 raise ConfigError(
                     [("experiment.kind",
                       f'subcommand "regret" needs kind "regret", got "{cfg.experiment.kind}"')]
                 )
-            return _cmd_regret(cfg, args.out_dir, args.threads)
+            return _cmd_regret(cfg, args.out_dir)
         raise AssertionError(f"unhandled command {args.command}")
     except ConfigError as exc:
         for path, message in exc.errors:

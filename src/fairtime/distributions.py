@@ -198,22 +198,6 @@ def base_rewards(spec: RewardSpec, completions: np.ndarray, rng: np.random.Gener
     raise TypeError(f"unknown reward spec {spec!r}")
 
 
-def sample_task(group: GroupModel, rng: np.random.Generator) -> tuple[float, float]:
-    """Draw one latent (completion time, base reward) pair for a group.
-
-    The base reward is the uncensored value; deadline censoring is applied by
-    the simulator.  For PowerOfTime rewards the coupling is exact:
-    base_reward == completion ** exponent for the same draw.
-    """
-    x = float(sample_completions(group.completion, rng, 1)[0])
-    reward = group.reward
-    if isinstance(reward, PowerOfTime):
-        return x, x ** reward.exponent
-    if isinstance(reward, Constant):
-        return x, reward.value
-    return x, float(rng.uniform(reward.lo, reward.hi))
-
-
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------

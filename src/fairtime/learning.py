@@ -19,9 +19,10 @@ utility harder but lets queues, and hence transient unfairness, grow).
 
 Feedback is full-information and delayed: the (completion, base reward) pair
 of every group for task n only becomes usable when deciding task n + delay.
-Estimates are exact empirical means over the released raw samples, so all
-deadlines share the same sample set and no per-deadline exploration is
-needed.
+A released sample is folded into running (group, deadline) sums of censored
+busy time and censored reward, which are the learner's sufficient
+statistics: all deadlines share the same sample set and no per-deadline
+exploration is needed.
 
 When every utility is linear (alpha = 0 across the board) the queue
 machinery buys nothing: the objective is a plain weighted sum of rates, so
@@ -74,9 +75,8 @@ class LearnerParams:
 class OnlineLearner:
     """Mutable per-episode learner state.
 
-    Owned by a single episode; episodes running in parallel each hold their
-    own instance.  Stage indices are 1-based: the first decided task is
-    task 1, and its feedback vector is ingested as stage 1.
+    Owned by a single episode.  Stage indices are 1-based: the first decided
+    task is task 1, and its feedback vector is ingested as stage 1.
     """
 
     def __init__(
@@ -106,8 +106,9 @@ class OnlineLearner:
         L = len(self.deadline_grid)
         self._busy_sums = np.zeros((self.n_groups, L))
         self._reward_sums = np.zeros((self.n_groups, L))
-        self._raw_x: list[np.ndarray] = []
-        self._raw_r: list[np.ndarray] = []
+        # empirical reward per busy time, _reward_sums / _busy_sums; None
+        # until the first sample is released
+        self._rates: np.ndarray | None = None
 
     # -- feedback ----------------------------------------------------------
 
@@ -134,28 +135,20 @@ class OnlineLearner:
             x, r = self._pending.popleft()
             self._busy_sums += np.minimum(x[:, None], self.deadline_grid[None, :])
             self._reward_sums += r[:, None] * (x[:, None] <= self.deadline_grid[None, :])
-            self._raw_x.append(x)
-            self._raw_r.append(r)
             self._released += 1
+        if self._released:
+            self._rates = self._reward_sums / self._busy_sums
 
     @property
     def released_samples(self) -> int:
         return self._released
 
-    def estimate_busy(self, group: int, t: float) -> float:
-        """Empirical mean of min(completion, t) over released samples."""
+    def estimates(self) -> tuple[np.ndarray, np.ndarray]:
+        """Empirical means over the released samples on the (group, deadline)
+        grid: (mean of min(completion, t), mean censored reward at t)."""
         if self._released == 0:
             raise ValueError("no samples released yet")
-        x = np.array([v[group] for v in self._raw_x])
-        return float(np.mean(np.minimum(x, t)))
-
-    def estimate_reward(self, group: int, t: float) -> float:
-        """Empirical mean censored reward at deadline t over released samples."""
-        if self._released == 0:
-            raise ValueError("no samples released yet")
-        x = np.array([v[group] for v in self._raw_x])
-        r = np.array([v[group] for v in self._raw_r])
-        return float(np.mean(r * (x <= t)))
+        return self._busy_sums / self._released, self._reward_sums / self._released
 
     # -- decisions ---------------------------------------------------------
 
@@ -172,7 +165,7 @@ class OnlineLearner:
         if task <= self.cold_start_tasks:
             return (task - 1) % self.n_groups, float(self.deadline_grid[-1])
         multipliers = self._weights if self._greedy else self.queues
-        scores = (self._reward_sums / self._busy_sums) * multipliers[:, None]
+        scores = self._rates * multipliers[:, None]
         flat = int(np.argmax(scores))
         k, l = divmod(flat, len(self.deadline_grid))
         return k, float(self.deadline_grid[l])
@@ -180,9 +173,9 @@ class OnlineLearner:
     def _rate_caps(self) -> np.ndarray:
         if self.params.target_rate_cap is not None:
             return np.full(self.n_groups, self.params.target_rate_cap)
-        if self._released == 0:
+        if self._rates is None:
             return np.full(self.n_groups, FALLBACK_RATE_CAP)
-        return (self._reward_sums / self._busy_sums).max(axis=1)
+        return self._rates.max(axis=1)
 
     def target_rates(self) -> np.ndarray:
         """Per-group target reward rates (U')^{-1}(Q/v), capped.
@@ -206,9 +199,6 @@ class OnlineLearner:
                 linear, caps * (self.queues < self.params.v * self._weights), rates
             )
         return rates
-
-    def target_rate(self, group: int) -> float:
-        return float(self.target_rates()[group])
 
     def update_queues(
         self,

@@ -58,16 +58,6 @@ class OfflineSolution:
     floored: bool = False
     excluded: tuple[int, ...] = field(default=())
 
-    def selection_matrix(self, deadlines: DeadlineSet) -> np.ndarray:
-        """Full distribution over groups x deadlines (each group's mass on its
-        optimal deadline)."""
-        grid = deadlines.as_array()
-        P = np.zeros((len(self.stats), len(grid)))
-        for st, p in zip(self.stats, self.selection):
-            col = int(np.argmin(np.abs(grid - st.deadline)))
-            P[st.group, col] = p
-        return P
-
 
 # ---------------------------------------------------------------------------
 # moments over the deadline grid

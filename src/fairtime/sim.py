@@ -7,9 +7,10 @@ instead).  Per-group reward rates are totals divided by the budget.
 
 Reproducibility contract: episode ``i`` of a Monte Carlo run uses seed
 ``base_seed + i`` and is bit-identical whether run standalone or inside
-``monte_carlo``, at any thread count.  Within an episode, group ``k`` draws
-its task stream from an independent substream keyed by ``(seed, k)``; the
-randomized policy draws selections from substream ``(seed, K)``.  Stage n of
+``monte_carlo``, which runs its trials one after another in trial order in
+the calling thread.  Within an episode, group ``k`` draws its task stream
+from an independent substream keyed by ``(seed, k)``; the randomized policy
+draws selections from substream ``(seed, K)``.  Stage n of
 every group's stream is that group's latent task-n sample, so the sample
 matrix is independent of the policy's choices.
 """
@@ -17,7 +18,6 @@ matrix is independent of the policy's choices.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +144,9 @@ class _StageBuffer:
                 rs.append(base_rewards(g.reward, x, rng))
             self._x, self._r = np.vstack(xs), np.vstack(rs)
             self._pos = 0
-        x_vec = self._x[:, self._pos].copy()
-        r_vec = self._r[:, self._pos].copy()
+        # views: each chunk is replaced whole and never written
+        x_vec = self._x[:, self._pos]
+        r_vec = self._r[:, self._pos]
         self._pos += 1
         return x_vec, r_vec
 
@@ -182,7 +183,11 @@ def run_episode(
     total_time = time_tot.sum()
     # first-passage bracket: the crossing task pushed the total past the
     # budget, and without it the total was at most the budget
-    assert total_time > budget and total_time - last_elapsed <= budget
+    if not (total_time > budget and total_time - last_elapsed <= budget):
+        raise RuntimeError(
+            f"first-passage bracket violated: total {total_time!r}, last task "
+            f"{last_elapsed!r}, budget {budget!r}"
+        )
 
     if truncate_last:
         time_tot = time_tot.copy()
@@ -298,15 +303,14 @@ def monte_carlo(
     trials: int,
     base_seed: int,
     *,
-    threads: int = 1,
     truncate_last: bool = False,
     opt_utility_rate: float | None = None,
 ) -> McSummary:
     """Aggregate ``trials`` independent episodes (trial i uses seed
     base_seed + i).
 
-    The summary is bit-identical for any thread count: results land in
-    per-trial slots and are reduced in index order.  Regret is measured
+    Trials run one after another in trial order, so each matches its
+    standalone ``run_episode`` bit for bit.  Regret is measured
     against the offline optimum utility rate (computed here unless passed
     in), applying the utilities to the across-trial mean reward rates.
     """
@@ -322,7 +326,7 @@ def monte_carlo(
     tasks = np.empty(trials)
     floored = np.zeros(trials, dtype=bool)
 
-    def one(i: int) -> None:
+    for i in range(trials):
         res = run_episode(
             groups, deadlines, utilities, policy, budget, base_seed + i,
             truncate_last=truncate_last,
@@ -332,13 +336,6 @@ def monte_carlo(
         utils[i] = res.utility
         tasks[i] = res.n_tasks
         floored[i] = res.floored
-
-    if threads <= 1:
-        for i in range(trials):
-            one(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one, range(trials)))
 
     mean_rates = rates.mean(axis=0)
     se_rates = rates.std(axis=0, ddof=1) / math.sqrt(trials)
@@ -403,7 +400,6 @@ def regret_curve(
     delay: int = 1,
     target_rate_cap: float | None = None,
     v_override: float | None = None,
-    threads: int = 1,
     truncate_last: bool = False,
 ) -> RegretCurve:
     """Estimate the learner's regret at each budget and fit a log-log slope.
@@ -427,7 +423,7 @@ def regret_curve(
         params = LearnerParams(v=v, delay=delay, target_rate_cap=target_rate_cap)
         mc = monte_carlo(
             groups, deadlines, utilities, OnlinePolicy(params), b, trials, base_seed,
-            threads=threads, truncate_last=truncate_last, opt_utility_rate=opt,
+            truncate_last=truncate_last, opt_utility_rate=opt,
         )
         points.append(
             RegretPoint(

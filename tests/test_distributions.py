@@ -17,9 +17,9 @@ from fairtime import (
     expected_reward,
     mean_completion,
     reward_per_processing_time,
-    sample_task,
     truncated_mean_time,
 )
+from fairtime.distributions import base_rewards, sample_completions
 from helpers import MU1_AT_5, TH1_AT_5, TH2_AT_4
 
 
@@ -68,31 +68,32 @@ def test_power_reward_needs_lighter_tail_than_pareto():
 # sampling
 # ---------------------------------------------------------------------------
 
+def sample_tasks(group, r, n):
+    """n latent (completion, base reward) pairs, drawn as the simulator does."""
+    x = sample_completions(group.completion, r, n)
+    return x, base_rewards(group.reward, x, r)
+
+
 def test_sample_task_degenerate():
-    g = GroupModel(Deterministic(1.0), Constant(1.0))
-    assert sample_task(g, rng()) == (1.0, 1.0)
+    x, reward = sample_tasks(GroupModel(Deterministic(1.0), Constant(1.0)), rng(), 5)
+    assert x.tolist() == [1.0] * 5
+    assert reward.tolist() == [1.0] * 5
 
 
 def test_sample_task_pareto_support_and_coupling():
-    g = GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6))
-    r = rng(1)
-    for _ in range(500):
-        x, reward = sample_task(g, r)
-        assert x >= 1.0
-        assert reward == x ** 0.6  # exact coupling, same draw
+    x, reward = sample_tasks(GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6)), rng(1), 500)
+    assert (x >= 1.0).all()
+    assert (reward == x ** 0.6).all()  # exact coupling, same draw
 
 
 def test_sample_task_scaled_uniform_bounds():
-    g = GroupModel(Exponential(2.0), ScaledUniform(0.5, 1.5))
-    r = rng(2)
-    draws = [sample_task(g, r) for _ in range(200)]
-    assert all(x > 0 and 0.5 <= rew <= 1.5 for x, rew in draws)
+    x, reward = sample_tasks(GroupModel(Exponential(2.0), ScaledUniform(0.5, 1.5)), rng(2), 200)
+    assert (x > 0).all()
+    assert ((0.5 <= reward) & (reward <= 1.5)).all()
 
 
 def test_pareto_sample_mean_matches_analytic():
     # E[X] = shape / (shape - 1) = 6 for Pareto(1, 1.2); Monte Carlo oracle
-    from fairtime.distributions import sample_completions
-
     x = sample_completions(Pareto(1.0, 1.2), rng(7), 10 ** 6)
     se = x.std() / math.sqrt(len(x))
     assert abs(x.mean() - 6.0) < 3 * se

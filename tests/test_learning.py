@@ -75,19 +75,19 @@ def test_queues_stay_nonnegative_under_random_updates():
 def test_target_rate_log_utility():
     lr = make_learner(alphas=(1.0, 1.0), v=20.0, cap=1e9)
     lr.queues[:] = [2.0, 2.0]
-    assert lr.target_rate(0) == pytest.approx(10.0)     # w v / Q
+    assert lr.target_rates()[0] == pytest.approx(10.0)  # w v / Q
 
 
 def test_target_rate_square_root_case():
     lr = make_learner(alphas=(2.0, 2.0), v=20.0, cap=1e9)
     lr.queues[:] = [5.0, 5.0]
-    assert lr.target_rate(0) == pytest.approx(2.0)      # (20/5)**(1/2)
+    assert lr.target_rates()[0] == pytest.approx(2.0)   # (20/5)**(1/2)
 
 
 def test_target_rate_cap_binds_at_zero_queue():
     lr = make_learner(alphas=(2.0, 2.0), cap=0.6)
     lr.queues[:] = [0.0, 4.0]
-    assert lr.target_rate(0) == pytest.approx(0.6)
+    assert lr.target_rates()[0] == pytest.approx(0.6)
 
 
 def test_target_rate_empirical_cap_and_fallback():
@@ -221,22 +221,27 @@ def test_estimators_need_released_samples():
     lr = make_learner(delay=3)
     feed(lr, 1, [1, 1], [1, 1])
     with pytest.raises(ValueError):
-        lr.estimate_busy(0, 2.0)
+        lr.estimates()
 
 
 def test_incremental_sums_match_on_demand_estimates():
     r = np.random.default_rng(34)
     lr = make_learner()
+    xs, rs = [], []
     for n in range(1, 60):
         lr.decide()
         lr.update_queues(0, 1.0, 0.0, np.zeros(2))
-        feed(lr, n, r.uniform(0.2, 6, 2), r.uniform(0, 2, 2))
-    lr.decide()
+        xs.append(r.uniform(0.2, 6, 2))
+        rs.append(r.uniform(0, 2, 2))
+        feed(lr, n, xs[-1], rs[-1])
     m = lr.released_samples
+    assert m == len(xs) - 1  # delay 1: the last stage is still pending
+    busy, reward = lr.estimates()
+    x, rew = np.array(xs[:m]), np.array(rs[:m])
     for k in range(2):
         for j, t in enumerate(GRID.deadlines):
-            assert lr._busy_sums[k, j] / m == pytest.approx(lr.estimate_busy(k, t), rel=1e-12)
-            assert lr._reward_sums[k, j] / m == pytest.approx(lr.estimate_reward(k, t), rel=1e-12)
+            assert busy[k, j] == pytest.approx(np.mean(np.minimum(x[:, k], t)), rel=1e-12)
+            assert reward[k, j] == pytest.approx(np.mean(rew[:, k] * (x[:, k] <= t)), rel=1e-12)
 
 
 def test_estimator_converges_to_closed_form_moment():
@@ -253,4 +258,4 @@ def test_estimator_converges_to_closed_form_moment():
     lr.decide()
     clipped = np.minimum(x[: lr.released_samples], 5.0)
     se = clipped.std(ddof=1) / np.sqrt(len(clipped))
-    assert abs(lr.estimate_busy(0, 5.0) - MU1_AT_5) < 3 * se
+    assert abs(lr.estimates()[0][0, 0] - MU1_AT_5) < 3 * se

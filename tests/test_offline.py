@@ -10,6 +10,7 @@ from fairtime import (
     NoRewardError,
     Pareto,
     PowerOfTime,
+    SrpPolicy,
     UtilitySpec,
     alpha_fair_closed_form,
     marginal,
@@ -268,7 +269,8 @@ def test_srp_utility_consistent_with_solution():
     for alpha in (0.5, 1.0, 2.0):
         utilities = uniform_utilities(alpha)
         sol = solve(groups, deadlines, utilities)
-        via_srp = utility_rate_of_srp(sol.selection_matrix(deadlines), groups, utilities, deadlines)
+        matrix = SrpPolicy.from_solution(sol).matrix(deadlines)
+        via_srp = utility_rate_of_srp(matrix, groups, utilities, deadlines)
         assert via_srp == pytest.approx(sol.utility_rate, rel=1e-12)
 
 

@@ -105,6 +105,20 @@ def test_first_passage_bracket_on_random_episodes():
         assert res.time_shares.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("time_tot, last_elapsed", [
+    (9.5, 1.0),   # the total never crossed the budget
+    (12.0, 1.0),  # the total had crossed it before the last task
+])
+def test_first_passage_bracket_violation_raises(monkeypatch, time_tot, last_elapsed):
+    # an engine that breaks the stopping rule must fail loudly, also under
+    # python -O, which strips asserts
+    totals = (np.array([time_tot]), np.array([1.0]), 10, last_elapsed, 0, 1.0)
+    monkeypatch.setattr("fairtime.sim._run_srp", lambda *args: totals)
+    groups, dl, us = unit_env()
+    with pytest.raises(RuntimeError, match="first-passage bracket"):
+        run_episode(groups, dl, us, unit_policy(), 10.0, seed=0)
+
+
 def test_online_trace_is_consistent_with_totals():
     groups, deadlines = two_group_env()
     us = uniform_utilities(1.0)
@@ -143,19 +157,6 @@ def test_monte_carlo_matches_standalone_episodes():
         for i in range(3)
     ])
     assert mc.mean_reward_rates == pytest.approx(rates.mean(axis=0), rel=1e-15)
-
-
-def test_monte_carlo_thread_counts_agree_bitwise():
-    groups, deadlines = two_group_env()
-    us = uniform_utilities(1.0)
-    policy = OnlinePolicy(LearnerParams(v=10.0))
-    runs = [
-        monte_carlo(groups, deadlines, us, policy, 300.0, trials=12, base_seed=5, threads=n)
-        for n in (1, 4)
-    ]
-    assert (runs[0].mean_reward_rates == runs[1].mean_reward_rates).all()
-    assert (runs[0].se_time_shares == runs[1].se_time_shares).all()
-    assert runs[0].regret == runs[1].regret
 
 
 def test_monte_carlo_requires_two_trials():
