@@ -236,6 +236,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError([("seed", f"must be >= 0, got {args.seed}")])
         if args.trials is not None and args.trials < 2:
             raise ConfigError([("trials", f"must be >= 2, got {args.trials}")])
+        if args.threads < 1:
+            raise ConfigError([("threads", f"must be >= 1, got {args.threads}")])
         cfg = _apply_overrides(cfg, args)
         os.makedirs(args.out_dir, exist_ok=True)
 

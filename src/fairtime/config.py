@@ -40,6 +40,7 @@ with its field path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -137,7 +138,10 @@ class _Checker:
         if not isinstance(obj, (int, float)) or isinstance(obj, bool):
             self.fail(path, f"expected a number, got {type(obj).__name__}")
             return None
-        x = float(obj)
+        x = float(obj) if abs(obj) < 2 ** 1024 else math.inf  # float() raises on huge ints
+        if not math.isfinite(x):
+            self.fail(path, f"must be finite, got {obj}")
+            return None
         if exclusive_min is not None and not x > exclusive_min:
             self.fail(path, f"must be > {exclusive_min}, got {obj}")
             return None
@@ -442,6 +446,6 @@ def parse_config(path: str) -> ExperimentConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError([("", f"cannot read {path}: {exc}")]) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer too long to convert
         raise ConfigError([("", f"invalid JSON: {exc}")]) from exc
     return load_config(data)

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import integrate
 
 # Quadrature fallback tolerance: the moments feed a bisection solver, so they
 # have to be accurate well below the solver's own 1e-10 stopping criterion.
@@ -293,6 +292,8 @@ def expected_reward(group: GroupModel, t: float) -> float:
         x = np.asarray(completion.samples)
         return float(np.mean(np.where(x <= t, x ** b, 0.0)))
     if isinstance(completion, Exponential):
+        from scipy import integrate  # about 0.5 s to import; no other moment needs it
+
         rate = completion.rate
         value, _ = integrate.quad(
             lambda x: x ** b * rate * math.exp(-rate * x), 0.0, t, epsabs=QUAD_ABS_TOL

@@ -19,10 +19,12 @@ utility harder but lets queues, and hence transient unfairness, grow).
 
 Feedback is full-information and delayed: the (completion, base reward) pair
 of every group for task n only becomes usable when deciding task n + delay.
-A released sample is folded into running (group, deadline) sums of censored
-busy time and censored reward, which are the learner's sufficient
-statistics: all deadlines share the same sample set and no per-deadline
-exploration is needed.
+The learner's sufficient statistics are running (group, deadline) sums of
+censored busy time and censored reward: all deadlines share the same sample
+set and no per-deadline exploration is needed.  These sums, and the rates
+reward_sums / busy_sums, never depend on the learner's decisions, so they
+are computed a block of stages at a time, with one cumulative sum, and each
+decision reads the row of the last released stage.
 
 When every utility is linear (alpha = 0 across the board) the queue
 machinery buys nothing: the objective is a plain weighted sum of rates, so
@@ -89,55 +91,80 @@ class OnlineLearner:
             raise ValueError("need at least one group")
         self.params = params
         self.deadline_grid = deadlines.as_array()
+        self._deadlines = self.deadline_grid.tolist()
         self.n_groups = len(utilities)
         self._alphas = np.array([u.alpha for u in utilities])
         self._weights = np.array([u.weight for u in utilities])
         self._inv_alpha = np.where(self._alphas > 0, 1.0 / np.maximum(self._alphas, 1e-300), 1.0)
-        self._greedy = bool((self._alphas == 0.0).all())
+        self._linear = self._alphas == 0.0
+        self._greedy = bool(self._linear.all())
+        self._any_linear = bool(self._linear.any())
+        self._wv = self._weights * params.v
         # queues start at 1 so the inverse marginal is finite from the start
         self.queues = np.ones(self.n_groups)
         self.tasks_done = 0
         # first max(delay, K) tasks cycle the groups round-robin at the
         # largest deadline (least censoring, most informative samples)
         self.cold_start_tasks = max(params.delay, self.n_groups)
+        # ingested (K, C) feedback blocks not yet folded into the sums
         self._pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._ingested = 0
         self._released = 0
-        L = len(self.deadline_grid)
-        self._busy_sums = np.zeros((self.n_groups, L))
-        self._reward_sums = np.zeros((self.n_groups, L))
-        # empirical reward per busy time, _reward_sums / _busy_sums; None
-        # until the first sample is released
+        self._folded = 0
+        # running sums after stages _folded - C .. _folded of the last folded
+        # block (row 0 carries the earlier blocks); _fold adds the per-stage
+        # rates _rate_block and their row maxima _cap_block, the caps
+        self._busy_sums = np.zeros((1, self.n_groups, len(self._deadlines)))
+        self._reward_sums = np.zeros_like(self._busy_sums)
+        # _row indexes the last released stage from the end of those blocks;
+        # its rates (None until the first release) and caps are kept as views
         self._rates: np.ndarray | None = None
+        cap = FALLBACK_RATE_CAP if params.target_rate_cap is None else params.target_rate_cap
+        self._caps = np.full(self.n_groups, cap)
 
     # -- feedback ----------------------------------------------------------
 
     def ingest_feedback(self, stage: int, completions, base_rewards) -> None:
-        """Buffer the full-information vector of task ``stage``.
-
-        The vector holds every group's latent (completion, base reward) for
-        that task; it is folded into the estimators once ``delay`` further
-        tasks have been decided.  Stages must arrive in order.
-        """
+        """Buffer every group's latent (completion, base reward) for task
+        ``stage`` as (K,) vectors, or for tasks stage .. stage + C - 1 as a
+        (K, C) block.  A stage is used once ``delay`` further tasks have been
+        decided; stages must arrive in order."""
         if stage != self._ingested + 1:
             raise ValueError(f"feedback for stage {stage} out of order (expected {self._ingested + 1})")
         x = np.asarray(completions, dtype=float)
         r = np.asarray(base_rewards, dtype=float)
-        if x.shape != (self.n_groups,) or r.shape != (self.n_groups,):
-            raise ValueError(f"feedback vectors must have shape ({self.n_groups},)")
+        if x.ndim == 1 and r.ndim == 1:
+            x, r = x[:, None], r[:, None]
+        if x.ndim != 2 or x.shape[0] != self.n_groups or x.shape[1] == 0 or r.shape != x.shape:
+            raise ValueError(
+                f"feedback must be ({self.n_groups},) vectors or equal ({self.n_groups}, C >= 1) blocks")
         self._pending.append((x, r))
-        self._ingested += 1
+        self._ingested += x.shape[1]
+
+    def _fold(self, x: np.ndarray, r: np.ndarray) -> None:
+        x = x.T[:, :, None]
+        busy = np.minimum(x, self.deadline_grid)
+        reward = r.T[:, :, None] * (x <= self.deadline_grid)
+        # the carry goes in as the first row: cumsum(block) + carry would
+        # round differently from adding the stages one at a time
+        self._busy_sums = np.cumsum(np.concatenate((self._busy_sums[-1:], busy)), axis=0)
+        self._reward_sums = np.cumsum(np.concatenate((self._reward_sums[-1:], reward)), axis=0)
+        self._rate_block = self._reward_sums[1:] / self._busy_sums[1:]
+        self._cap_block = self._rate_block.max(axis=2)
+        self._folded += x.shape[0]
 
     def _release_due(self) -> None:
         # usable when deciding task m: stages <= m - delay
-        target = self.tasks_done + 1 - self.params.delay
-        while self._released < target and self._pending:
-            x, r = self._pending.popleft()
-            self._busy_sums += np.minimum(x[:, None], self.deadline_grid[None, :])
-            self._reward_sums += r[:, None] * (x[:, None] <= self.deadline_grid[None, :])
-            self._released += 1
-        if self._released:
-            self._rates = self._reward_sums / self._busy_sums
+        released = min(self.tasks_done + 1 - self.params.delay, self._ingested)
+        if released <= self._released:
+            return
+        while self._folded < released:
+            self._fold(*self._pending.popleft())
+        self._released = released
+        self._row = row = released - self._folded - 1
+        self._rates = self._rate_block[row]
+        if self.params.target_rate_cap is None:
+            self._caps = self._cap_block[row]
 
     @property
     def released_samples(self) -> int:
@@ -148,7 +175,7 @@ class OnlineLearner:
         grid: (mean of min(completion, t), mean censored reward at t)."""
         if self._released == 0:
             raise ValueError("no samples released yet")
-        return self._busy_sums / self._released, self._reward_sums / self._released
+        return self._busy_sums[self._row] / self._released, self._reward_sums[self._row] / self._released
 
     # -- decisions ---------------------------------------------------------
 
@@ -163,41 +190,31 @@ class OnlineLearner:
         self._release_due()
         task = self.tasks_done + 1
         if task <= self.cold_start_tasks:
-            return (task - 1) % self.n_groups, float(self.deadline_grid[-1])
+            return (task - 1) % self.n_groups, self._deadlines[-1]
         multipliers = self._weights if self._greedy else self.queues
         scores = self._rates * multipliers[:, None]
-        flat = int(np.argmax(scores))
-        k, l = divmod(flat, len(self.deadline_grid))
-        return k, float(self.deadline_grid[l])
-
-    def _rate_caps(self) -> np.ndarray:
-        if self.params.target_rate_cap is not None:
-            return np.full(self.n_groups, self.params.target_rate_cap)
-        if self._rates is None:
-            return np.full(self.n_groups, FALLBACK_RATE_CAP)
-        return self._rates.max(axis=1)
+        k, l = divmod(int(scores.argmax()), len(self._deadlines))
+        return k, self._deadlines[l]
 
     def target_rates(self) -> np.ndarray:
         """Per-group target reward rates (U')^{-1}(Q/v), capped.
 
         The cap (empirical best rate, or the configured fixed value) keeps
         the target finite when a queue reaches 0; targets above a group's
-        achievable rate are infeasible anyway.  Linear utilities (alpha = 0)
+        achievable rate are infeasible anyway.  Before the first release the
+        empirical cap is ``FALLBACK_RATE_CAP``.  Linear utilities (alpha = 0)
         have no unique inverse marginal: the maximizing subgradient choice is
         the cap while Q/v < w and zero after.  In the all-linear greedy mode
         there is no fairness debt to track, so all targets are zero.
         """
         if self._greedy:
             return np.zeros(self.n_groups)
-        caps = self._rate_caps()
+        caps = self._caps
         with np.errstate(divide="ignore", over="ignore"):
-            raw = (self._weights * self.params.v / self.queues) ** self._inv_alpha
+            raw = (self._wv / self.queues) ** self._inv_alpha
         rates = np.minimum(raw, caps)
-        linear = self._alphas == 0.0
-        if linear.any():
-            rates = np.where(
-                linear, caps * (self.queues < self.params.v * self._weights), rates
-            )
+        if self._any_linear:
+            rates = np.where(self._linear, caps * (self.queues < self._wv), rates)
         return rates
 
     def update_queues(

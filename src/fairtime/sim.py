@@ -12,7 +12,8 @@ the calling thread.  Within an episode, group ``k`` draws its task stream
 from an independent substream keyed by ``(seed, k)``; the randomized policy
 draws selections from substream ``(seed, K)``.  Stage n of
 every group's stream is that group's latent task-n sample, so the sample
-matrix is independent of the policy's choices.
+matrix is independent of the policy's choices; the online engine draws it
+256 stages at a time and hands each chunk to the learner whole.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .offline import OfflineSolution, solve
 from .utility import RATE_FLOOR, UtilitySpec, marginal, total_utility
 
 _BLOCK = 512  # vectorized draw granularity for randomized policies
-_CHUNK = 256  # stage buffer granularity for the online learner
+_CHUNK = 256  # stages the online engine draws and hands to the learner at once
 
 
 # ---------------------------------------------------------------------------
@@ -124,31 +125,14 @@ def _policy_stream(seed: int, n_groups: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n_groups,)))
 
 
-class _StageBuffer:
-    """Per-group latent sample streams, drawn in chunks, served one stage at
-    a time as full-information vectors."""
-
-    def __init__(self, groups: list[GroupModel], seed: int):
-        self._groups = groups
-        self._rngs = _group_streams(seed, len(groups))
-        self._x = np.empty((len(groups), 0))
-        self._r = np.empty((len(groups), 0))
-        self._pos = 0
-
-    def stage(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._pos >= self._x.shape[1]:
-            xs, rs = [], []
-            for g, rng in zip(self._groups, self._rngs):
-                x = sample_completions(g.completion, rng, _CHUNK)
-                xs.append(x)
-                rs.append(base_rewards(g.reward, x, rng))
-            self._x, self._r = np.vstack(xs), np.vstack(rs)
-            self._pos = 0
-        # views: each chunk is replaced whole and never written
-        x_vec = self._x[:, self._pos]
-        r_vec = self._r[:, self._pos]
-        self._pos += 1
-        return x_vec, r_vec
+def _draw_stages(groups, rngs, n):
+    """(K, n) completions and base rewards: the next n stages of every group."""
+    x = np.empty((len(groups), n))
+    r = np.empty((len(groups), n))
+    for k, (g, rng) in enumerate(zip(groups, rngs)):
+        x[k] = sample_completions(g.completion, rng, n)
+        r[k] = base_rewards(g.reward, x[k], rng)
+    return x, r
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +213,7 @@ def _run_srp(groups, deadlines, policy, budget, seed):
     while True:
         u = choice_rng.random(_BLOCK)
         ks = np.minimum(np.searchsorted(cum_sel, u, side="right"), K - 1)
-        x = np.empty((K, _BLOCK))
-        r = np.empty((K, _BLOCK))
-        for k in range(K):
-            x[k] = sample_completions(groups[k].completion, group_rngs[k], _BLOCK)
-            r[k] = base_rewards(groups[k].reward, x[k], group_rngs[k])
+        x, r = _draw_stages(groups, group_rngs, _BLOCK)
         cols = np.arange(_BLOCK)
         xk, rk, tk = x[ks, cols], r[ks, cols], t_assigned[ks]
         elapsed = np.minimum(xk, tk)
@@ -254,7 +234,7 @@ def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trac
     K = len(groups)
     if len(utilities) != K:
         raise ValueError(f"{len(utilities)} utilities vs {K} groups")
-    env = _StageBuffer(groups, seed)
+    rngs = _group_streams(seed, K)
     learner = OnlineLearner(utilities, deadlines, params)
 
     time_tot = np.zeros(K)
@@ -263,30 +243,26 @@ def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trac
     n = 0
     trace: list[dict] | None = [] if collect_trace else None
     while total <= budget:
+        pos = n % _CHUNK
+        if pos == 0:
+            # the stages do not depend on the decisions, so the learner gets a
+            # whole chunk at once; it still uses stage n only from task n + delay
+            x_chunk, r_chunk = _draw_stages(groups, rngs, _CHUNK)
+            learner.ingest_feedback(n + 1, x_chunk, r_chunk)
+            xs, rs = x_chunk.tolist(), r_chunk.tolist()
         n += 1
         k, t = learner.decide()
-        x_vec, r_vec = env.stage()
-        x = x_vec[k]
+        x = xs[k][pos]
         elapsed = min(x, t)
-        reward = r_vec[k] if x <= t else 0.0
+        reward = rs[k][pos] if x <= t else 0.0
         targets = learner.target_rates()
         learner.update_queues(k, elapsed, reward, targets)
-        learner.ingest_feedback(n, x_vec, r_vec)
         time_tot[k] += elapsed
         reward_tot[k] += reward
         total += elapsed
         if trace is not None:
-            trace.append(
-                {
-                    "task": n,
-                    "group": k,
-                    "deadline": t,
-                    "elapsed": elapsed,
-                    "reward": reward,
-                    "queues": learner.queues.copy(),
-                    "targets": targets,
-                }
-            )
+            trace.append({"task": n, "group": k, "deadline": t, "elapsed": elapsed, "reward": reward,
+                          "queues": learner.queues.copy(), "targets": targets})
     return (time_tot, reward_tot, n, elapsed, k, reward), trace
 
 

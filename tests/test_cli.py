@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fairtime
 from fairtime.cli import main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -153,6 +157,64 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text(json.dumps({"schema_version": 1}))
     assert main(["offline", str(bad), "--out-dir", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+NON_FINITE = "@non-finite@"
+
+
+@pytest.mark.parametrize(
+    "literal", ["Infinity", "-Infinity", "NaN", "1e400", "1" + "0" * 400],
+    ids=["inf", "-inf", "nan", "1e400", "10**400"],
+)
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
+        pytest.param(lambda d: d.update(v=NON_FINITE), "v", id="v"),
+        pytest.param(lambda d: d.update(target_rate_cap=NON_FINITE), "target_rate_cap",
+                     id="target_rate_cap"),
+        pytest.param(lambda d: d.update(utility={"alpha": NON_FINITE}), "utility.alpha",
+                     id="alpha"),
+        pytest.param(lambda d: d["groups"][0].update(
+            completion={"pareto": {"scale": NON_FINITE, "shape": 1.2}}),
+            "groups[0].completion.pareto.scale", id="pareto_scale"),
+        pytest.param(lambda d: d["groups"][1].update(reward={"constant": {"value": NON_FINITE}}),
+                     "groups[1].reward.constant.value", id="constant_value"),
+        pytest.param(lambda d: d["groups"][0].update(weight=NON_FINITE), "groups[0].weight",
+                     id="weight"),
+        pytest.param(lambda d: d["experiment"].update(budget=NON_FINITE), "experiment.budget",
+                     id="budget"),
+    ],
+)
+def test_non_finite_numbers_exit_2_with_field_path(tmp_path, capsys, mutate, path, literal):
+    data = json.loads(Path(write_config(tmp_path)).read_text())
+    mutate(data)
+    cfg = tmp_path / "non_finite.json"
+    cfg.write_text(json.dumps(data).replace(f'"{NON_FINITE}"', literal))
+    assert main(["simulate", str(cfg), "--out-dir", str(tmp_path)]) == 2
+    assert f"config error at {path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path)
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path), "--threads", threads]) == 2
+    assert "config error at threads:" in capsys.readouterr().err
+
+
+def test_pareto_simulate_does_not_import_scipy(tmp_path):
+    # scipy serves only the Exponential + PowerOfTime quadrature
+    cfg = write_config(tmp_path)
+    code = (
+        "import sys\n"
+        "import fairtime.cli\n"
+        f"code = fairtime.cli.main(['simulate', {cfg!r}, '--out-dir', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(fairtime.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def test_kind_mismatch_exit_code(tmp_path, capsys):

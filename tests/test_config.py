@@ -207,6 +207,12 @@ def test_parse_config_file_errors(tmp_path):
     broken.write_text("{not json")
     with pytest.raises(ConfigError):
         parse_config(str(broken))
+    broken.write_text('{"seed": 1' + "0" * 5000 + "}")  # past Python's int conversion limit
+    with pytest.raises(ConfigError):
+        parse_config(str(broken))
+    broken.write_bytes(b'{"label": "\xff"}')  # not UTF-8
+    with pytest.raises(ConfigError):
+        parse_config(str(broken))
     good = tmp_path / "ok.json"
     good.write_text(json.dumps(base_config()))
     assert parse_config(str(good)).seed == 7

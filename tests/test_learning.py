@@ -155,18 +155,26 @@ def test_decide_flips_to_starved_group():
 
 
 def test_decision_scale_free_in_estimates():
+    # group 0's completions stay below the smallest deadline, so scaling its
+    # completions and rewards by 1/8 (exact in floating point) multiplies its
+    # reward and busy-time sums by the same constant at every deadline; every
+    # ratio, and hence every arg-max, is unchanged
     r = np.random.default_rng(32)
-    lr = make_learner()
+    plain, scaled = make_learner(), make_learner()
     for n in range(1, 30):
-        lr.update_queues(lr.decide()[0], 1.0, 0.5, np.zeros(2))
-        feed(lr, n, r.uniform(0.5, 5, 2), r.uniform(0, 2, 2))
-    lr.queues[:] = [1.3, 0.9]
-    base = lr.decide()
-    # multiplying one group's reward and busy-time sums by the same constant
-    # leaves every ratio, and hence the arg-max, unchanged
-    lr._reward_sums[0] *= 37.0
-    lr._busy_sums[0] *= 37.0
-    assert lr.decide() == base
+        x = np.array([r.uniform(0.1, 1.0), r.uniform(0.5, 5)])
+        rew = r.uniform(0, 2, 2)
+        base = plain.decide()
+        assert scaled.decide() == base
+        for lr, factor in ((plain, 1.0), (scaled, 0.125)):
+            lr.update_queues(base[0], 1.0, 0.5, np.zeros(2))
+            feed(lr, n, x * [factor, 1.0], rew * [factor, 1.0])
+    for lr in (plain, scaled):
+        lr.queues[:] = [1.3, 0.9]
+    assert scaled.decide() == plain.decide()
+    busy, reward = plain.estimates()
+    busy8, reward8 = scaled.estimates()
+    assert (busy8[0] == busy[0] / 8).all() and (reward8[0] == reward[0] / 8).all()
 
 
 def test_single_group_single_deadline_degenerates():
@@ -204,6 +212,48 @@ def test_feedback_out_of_order_rejected():
         feed(lr, 1, [1, 1], [1, 1])
     with pytest.raises(ValueError):
         lr.ingest_feedback(2, np.ones(3), np.ones(3))
+
+
+def test_feedback_blocks_rejected_out_of_order_or_misshapen():
+    lr = make_learner()
+    lr.ingest_feedback(1, np.ones((2, 4)), np.ones((2, 4)))   # stages 1..4
+    for stage in (1, 4, 6):
+        with pytest.raises(ValueError, match="out of order"):
+            lr.ingest_feedback(stage, np.ones((2, 3)), np.ones((2, 3)))
+    for x, r in [
+        (np.ones((3, 4)), np.ones((3, 4))),    # wrong group count
+        (np.ones((2, 0)), np.ones((2, 0))),    # empty block
+        (np.ones((2, 4)), np.ones((2, 3))),    # mismatched columns
+        (np.ones((2, 4)), np.ones(2)),         # block with a vector
+        (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
+    ]:
+        with pytest.raises(ValueError, match="feedback must be"):
+            lr.ingest_feedback(5, x, r)
+    lr.ingest_feedback(5, np.ones((2, 3)), np.ones((2, 3)))   # stages 5..7 still accepted
+
+
+def test_block_feedback_matches_stage_by_stage():
+    # any split of the stage stream into blocks gives bit-identical
+    # decisions, targets, queues and estimates
+    r = np.random.default_rng(36)
+    x = r.uniform(0.2, 6, (2, 40))
+    rew = r.uniform(0, 2, (2, 40))
+    for delay in (1, 3, 7):
+        runs = []
+        for cuts in ([], [1, 2, 10, 11], [16], [5, 25, 39]):
+            lr = make_learner(alphas=(0.5, 2.0), delay=delay)
+            for lo, hi in zip([0] + cuts, cuts + [40]):
+                lr.ingest_feedback(lo + 1, x[:, lo:hi], rew[:, lo:hi])
+            steps = []
+            for n in range(40):
+                k, t = lr.decide()
+                targets = lr.target_rates()
+                lr.update_queues(k, min(x[k, n], t), rew[k, n] * (x[k, n] <= t), targets)
+                steps.append((k, t, targets.tobytes(), lr.queues.tobytes()))
+            busy, reward = lr.estimates()
+            runs.append((steps, busy.tobytes(), reward.tobytes(), lr.released_samples))
+        assert all(run == runs[0] for run in runs)
+        assert runs[0][3] == 40 - delay
 
 
 def test_release_schedule_matches_delay():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +142,25 @@ def test_episode_determinism():
         assert (a.per_group_time == b.per_group_time).all()
         assert (a.per_group_reward == b.per_group_reward).all()
         assert a.n_tasks == b.n_tasks
+
+
+def online_peak_bytes(budget, delay):
+    groups, deadlines = two_group_env()
+    policy = OnlinePolicy(LearnerParams(v=20.0, delay=delay))
+    tracemalloc.start()
+    try:
+        run_episode(groups, deadlines, uniform_utilities(1.0), policy, budget, seed=5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("delay", [1, 300])
+def test_online_episode_memory_does_not_grow_with_budget(delay):
+    online_peak_bytes(100.0, delay)  # warm-up: first-call caches are not episode state
+    small = online_peak_bytes(2e3, delay)
+    large = online_peak_bytes(2e4, delay)
+    assert large <= 2 * small, (small, large)
 
 
 # ---------------------------------------------------------------------------
