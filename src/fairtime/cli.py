@@ -8,7 +8,7 @@
 Outputs are CSV files in --out-dir plus a human-readable summary on stdout.
 CSV bodies are byte-identical for identical config + seed; trials always run
 serially, so --threads does not change them.  Exit codes: 0 success,
-2 configuration error, 3 numerical failure.
+2 configuration or --out-dir error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,11 +40,14 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(cell) for cell in row])
+    except OSError as exc:
+        raise ConfigError([("out_dir", str(exc))]) from exc
 
 
 def _offline_solution(cfg: ExperimentConfig) -> OfflineSolution:
@@ -239,7 +242,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ConfigError([("threads", f"must be >= 1, got {args.threads}")])
         cfg = _apply_overrides(cfg, args)
-        os.makedirs(args.out_dir, exist_ok=True)
+        try:
+            os.makedirs(args.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([("out_dir", str(exc))]) from exc
 
         if args.command == "offline":
             return _cmd_offline(cfg, args.out_dir)

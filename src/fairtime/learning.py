@@ -207,14 +207,16 @@ class OnlineLearner:
         the cap while Q/v < w and zero after.  In the all-linear greedy mode
         there is no fairness debt to track, so all targets are zero.
         """
+        with np.errstate(divide="ignore", over="ignore"):
+            return self._targets()
+
+    def _targets(self) -> np.ndarray:
         if self._greedy:
             return np.zeros(self.n_groups)
-        caps = self._caps
-        with np.errstate(divide="ignore", over="ignore"):
-            raw = (self._wv / self.queues) ** self._inv_alpha
-        rates = np.minimum(raw, caps)
+        raw = (self._wv / self.queues) ** self._inv_alpha
+        rates = np.minimum(raw, self._caps)
         if self._any_linear:
-            rates = np.where(self._linear, caps * (self.queues < self._wv), rates)
+            rates = np.where(self._linear, self._caps * (self.queues < self._wv), rates)
         return rates
 
     def update_queues(
@@ -226,13 +228,19 @@ class OnlineLearner:
     ) -> None:
         """Dual update after the chosen task ran for ``elapsed`` time and
         paid ``reward`` (zero if interrupted); advances the task counter."""
+        self.step(chosen, elapsed, reward, self.target_rates() if targets is None else targets)
+
+    def step(self, chosen: int, elapsed: float, reward: float, targets=None) -> np.ndarray:
+        """The engine's fused step: ``update_queues`` with the pre-update queues' targets,
+        returned fresh.  It runs under the caller's errstate, ignoring divide and overflow."""
         if elapsed < 0:
             raise ValueError(f"elapsed time must be >= 0, got {elapsed}")
         if reward < 0:
             raise ValueError(f"reward must be >= 0, got {reward}")
         if targets is None:
-            targets = self.target_rates()
+            targets = self._targets()
         self.queues = self.queues + targets * elapsed
         self.queues[chosen] -= reward
         np.maximum(self.queues, 0.0, out=self.queues)
         self.tasks_done += 1
+        return targets

@@ -237,33 +237,34 @@ def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trac
     rngs = _group_streams(seed, K)
     learner = OnlineLearner(utilities, deadlines, params)
 
-    time_tot = np.zeros(K)
-    reward_tot = np.zeros(K)
+    time_tot = [0.0] * K  # Python floats add with the bits of float64 elements
+    reward_tot = [0.0] * K
     total = 0.0
     n = 0
     trace: list[dict] | None = [] if collect_trace else None
     while total <= budget:
-        pos = n % _CHUNK
-        if pos == 0:
-            # the stages do not depend on the decisions, so the learner gets a
-            # whole chunk at once; it still uses stage n only from task n + delay
-            x_chunk, r_chunk = _draw_stages(groups, rngs, _CHUNK)
-            learner.ingest_feedback(n + 1, x_chunk, r_chunk)
-            xs, rs = x_chunk.tolist(), r_chunk.tolist()
-        n += 1
-        k, t = learner.decide()
-        x = xs[k][pos]
-        elapsed = min(x, t)
-        reward = rs[k][pos] if x <= t else 0.0
-        targets = learner.target_rates()
-        learner.update_queues(k, elapsed, reward, targets)
-        time_tot[k] += elapsed
-        reward_tot[k] += reward
-        total += elapsed
-        if trace is not None:
-            trace.append({"task": n, "group": k, "deadline": t, "elapsed": elapsed, "reward": reward,
-                          "queues": learner.queues.copy(), "targets": targets})
-    return (time_tot, reward_tot, n, elapsed, k, reward), trace
+        # the stages do not depend on the decisions, so the learner gets a
+        # whole chunk at once; it still uses stage n only from task n + delay.
+        # One errstate covers the chunk's tasks; a sampling overflow still warns
+        x_chunk, r_chunk = _draw_stages(groups, rngs, _CHUNK)
+        learner.ingest_feedback(n + 1, x_chunk, r_chunk)
+        xs, rs = x_chunk.tolist(), r_chunk.tolist()
+        with np.errstate(divide="ignore", over="ignore"):
+            for pos, n in enumerate(range(n + 1, n + 1 + _CHUNK)):
+                k, t = learner.decide()
+                x = xs[k][pos]
+                elapsed = min(x, t)
+                reward = rs[k][pos] if x <= t else 0.0
+                targets = learner.step(k, elapsed, reward)
+                time_tot[k] += elapsed
+                reward_tot[k] += reward
+                total += elapsed
+                if trace is not None:
+                    trace.append({"task": n, "group": k, "deadline": t, "elapsed": elapsed, "reward": reward,
+                                  "queues": learner.queues.copy(), "targets": targets})
+                if total > budget:
+                    break
+    return (np.array(time_tot), np.array(reward_tot), n, elapsed, k, reward), trace
 
 
 # ---------------------------------------------------------------------------

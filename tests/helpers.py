@@ -7,9 +7,22 @@ arithmetic from the closed forms
 for Pareto(scale s, shape g) completion and X**b rewards.
 """
 
+import hashlib
+
 import numpy as np
 
-from fairtime import DeadlineSet, GroupModel, Pareto, PowerOfTime, UtilitySpec
+from fairtime import (
+    Constant,
+    DeadlineSet,
+    Deterministic,
+    Empirical,
+    Exponential,
+    GroupModel,
+    Pareto,
+    PowerOfTime,
+    ScaledUniform,
+    UtilitySpec,
+)
 
 DEADLINE_GRID = (1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0)
 
@@ -20,6 +33,37 @@ def two_group_env():
         GroupModel(Pareto(1.0, 1.4), PowerOfTime(0.2), "group2"),
     ]
     return groups, DeadlineSet(DEADLINE_GRID)
+
+
+# one group of every completion and reward family, with unequal weights;
+# the frozen episode digests take the first k of these
+FAMILY_GROUPS = [
+    (GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6), "pareto_pow"), 1.0),
+    (GroupModel(Pareto(1.0, 1.4), PowerOfTime(0.2), "pareto_pow_light"), 2.0),
+    (GroupModel(Exponential(0.5), PowerOfTime(0.8), "exp_pow"), 1.5),
+    (GroupModel(Exponential(1.0), Constant(1.0), "exp_const"), 0.5),
+    (GroupModel(Deterministic(3.0), ScaledUniform(0.5, 1.5), "det_uniform"), 1.0),
+    (GroupModel(Empirical((0.5, 1.0, 2.0, 4.0, 8.0, 16.0)), PowerOfTime(0.5), "emp_pow"), 0.75),
+    (GroupModel(Pareto(2.0, 2.5), ScaledUniform(0.0, 2.0), "pareto_uniform"), 1.25),
+    (GroupModel(Exponential(0.25), ScaledUniform(1.0, 3.0), "exp_uniform"), 0.8),
+]
+
+
+def episode_digest(res) -> str:
+    """sha256 of one ``run_episode`` result: the task count, the float64 bytes
+    of the per-group totals, rates and shares, the utility, and every traced
+    task with its queue and target vectors."""
+    h = hashlib.sha256()
+    h.update(np.int64(res.n_tasks).tobytes())
+    for arr in (res.per_group_time, res.per_group_reward, res.reward_rates, res.time_shares):
+        h.update(np.asarray(arr, dtype=np.float64).tobytes())
+    h.update(np.float64(res.utility).tobytes() + bytes([res.floored]))
+    for row in res.trace or ():
+        h.update(np.array([row["task"], row["group"]], dtype=np.int64).tobytes())
+        h.update(np.array([row["deadline"], row["elapsed"], row["reward"]], dtype=np.float64).tobytes())
+        h.update(np.asarray(row["queues"], dtype=np.float64).tobytes())
+        h.update(np.asarray(row["targets"], dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 
 def uniform_utilities(alpha, k=2):

@@ -201,6 +201,33 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert "config error at threads:" in capsys.readouterr().err
 
 
+OUTPUT_COMMANDS = {
+    "offline": ({"kind": "offline"}, "offline.csv"),
+    "simulate": ({"kind": "simulate", "policy": "oracle_srp", "budget": 300, "trials": 8},
+                 "summary.csv"),
+    "regret": ({"kind": "regret", "budget_grid": [50, 100, 400, 2000], "trials": 2},
+               "regret.csv"),
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+def test_unwritable_output_paths_exit_2_with_out_dir(tmp_path, capsys, command):
+    experiment, csv_name = OUTPUT_COMMANDS[command]
+    cfg = write_config(tmp_path, experiment=experiment)
+    # --out-dir names an existing file
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert main([command, cfg, "--out-dir", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at out_dir:" in err and str(blocker) in err
+    # the CSV path is a directory
+    out = tmp_path / "out"
+    (out / csv_name).mkdir(parents=True)
+    assert main([command, cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at out_dir:" in err and str(out / csv_name) in err
+
+
 def test_pareto_simulate_does_not_import_scipy(tmp_path):
     # scipy serves only the Exponential + PowerOfTime quadrature
     cfg = write_config(tmp_path)

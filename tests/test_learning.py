@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,20 @@ def test_mixed_linear_group_uses_subgradient():
     assert rates[0] == pytest.approx(0.7)               # Q/v = 0.5 < w = 1
     lr.queues[0] = 30.0
     assert lr.target_rates()[0] == 0.0                  # Q/v = 1.5 >= w
+
+
+def test_public_target_and_queue_calls_are_warning_safe():
+    # a zero queue divides by zero and a subnormal one overflows w v / Q;
+    # the public calls suppress both (the filterwarnings setting, and this
+    # filter, turn any leaked RuntimeWarning into an error)
+    for alphas in ((1.0, 1.0), (0.5, 2.0), (0.0, 1.0)):
+        lr = make_learner(alphas=alphas, cap=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lr.queues[:] = [0.0, 5e-324]
+            assert lr.target_rates()[1] == pytest.approx(0.9)
+            lr.update_queues(0, 1.0, 0.5)
+        assert lr.queues[1] == pytest.approx(0.9)
 
 
 # ---------------------------------------------------------------------------

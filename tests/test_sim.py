@@ -11,6 +11,8 @@ from fairtime import (
     GroupModel,
     LearnerParams,
     OnlinePolicy,
+    Pareto,
+    PowerOfTime,
     SrpPolicy,
     UtilitySpec,
     default_v,
@@ -161,6 +163,37 @@ def test_online_episode_memory_does_not_grow_with_budget(delay):
     small = online_peak_bytes(2e3, delay)
     large = online_peak_bytes(2e4, delay)
     assert large <= 2 * small, (small, large)
+
+
+def test_online_episode_enters_errstate_once_per_chunk(monkeypatch):
+    # one np.errstate per 256-task chunk, not one per task
+    entries = []
+    real = np.errstate
+
+    def counting_errstate(*args, **kwargs):
+        entries.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting_errstate)
+    groups, deadlines = two_group_env()
+    policy = OnlinePolicy(LearnerParams(v=20.0))
+    res = run_episode(groups, deadlines, uniform_utilities(1.0), policy, 6000.0, seed=4,
+                      collect_trace=True)
+    assert res.n_tasks >= 2000
+    assert 0 < len(entries) <= math.ceil(res.n_tasks / 256) + 2
+
+
+def test_online_episode_sampling_overflow_still_warns():
+    # Pareto(1, 0.01) draws overflow float64 in the inverse CDF (u ** -100
+    # for u below ~1e-3.08); the engine's errstate must not hide that
+    groups = [
+        GroupModel(Pareto(1.0, 0.01), Constant(1.0), "overflowing"),
+        GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6), "pareto"),
+    ]
+    _, deadlines = two_group_env()
+    policy = OnlinePolicy(LearnerParams(v=10.0))
+    with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
+        run_episode(groups, deadlines, uniform_utilities(1.0), policy, 2000.0, seed=0)
 
 
 # ---------------------------------------------------------------------------
