@@ -20,7 +20,6 @@ from .distributions import (
     ScaledUniform,
     expected_reward,
     mean_completion,
-    reward_per_processing_time,
     truncated_mean_time,
 )
 from .learning import LearnerParams, OnlineLearner
@@ -31,7 +30,6 @@ from .offline import (
     OfflineSolution,
     alpha_fair_closed_form,
     moment_grid,
-    optimal_deadline,
     selection_from_fractions,
     solve,
     solve_fractions,
@@ -89,10 +87,8 @@ __all__ = [
     "mean_completion",
     "moment_grid",
     "monte_carlo",
-    "optimal_deadline",
     "parse_config",
     "regret_curve",
-    "reward_per_processing_time",
     "run_episode",
     "selection_from_fractions",
     "solve",

@@ -101,12 +101,12 @@ def _cmd_moments(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _build_policy(cfg: ExperimentConfig, exp: SimulateExperiment):
+def _build_policy(cfg: ExperimentConfig, exp: SimulateExperiment, solution: OfflineSolution):
     """Returns (policy, v_for_csv); v applies only to the online learner."""
     if isinstance(exp.policy, SrpPolicySpec):
         return SrpPolicy(selection=exp.policy.selection, deadlines=exp.policy.deadlines), None
     if exp.policy == "oracle_srp":
-        return SrpPolicy.from_solution(_offline_solution(cfg)), None
+        return SrpPolicy.from_solution(solution), None
     v = cfg.v
     if v is None:
         v = default_v(exp.budget)
@@ -117,10 +117,12 @@ def _build_policy(cfg: ExperimentConfig, exp: SimulateExperiment):
 
 def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     exp = cfg.experiment
-    policy, v = _build_policy(cfg, exp)
+    solution = _offline_solution(cfg)
+    policy, v = _build_policy(cfg, exp, solution)
     mc = monte_carlo(
         list(cfg.groups), cfg.deadlines, list(cfg.utilities), policy,
         exp.budget, exp.trials, cfg.seed, truncate_last=cfg.truncate_last,
+        opt_utility_rate=solution.utility_rate,
     )
     alpha = cfg.utilities[0].alpha
     print(f"policy={policy.label} alpha={_fmt(alpha)} budget={_fmt(exp.budget)} "

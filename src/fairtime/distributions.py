@@ -301,7 +301,3 @@ def expected_reward(group: GroupModel, t: float) -> float:
         return value
     raise TypeError(f"unknown completion spec {completion!r}")
 
-
-def reward_per_processing_time(group: GroupModel, t: float) -> float:
-    """Expected reward divided by expected occupied time under deadline t."""
-    return expected_reward(group, t) / truncated_mean_time(group.completion, t)

@@ -144,7 +144,7 @@ class OnlineLearner:
     def _fold(self, x: np.ndarray, r: np.ndarray) -> None:
         x = x.T[:, :, None]
         busy = np.minimum(x, self.deadline_grid)
-        reward = r.T[:, :, None] * (x <= self.deadline_grid)
+        reward = np.where(x <= self.deadline_grid, r.T[:, :, None], 0.0)
         # the carry goes in as the first row: cumsum(block) + carry would
         # round differently from adding the stages one at a time
         self._busy_sums = np.cumsum(np.concatenate((self._busy_sums[-1:], busy)), axis=0)

@@ -5,7 +5,9 @@ from a fixed distribution P over groups x deadlines.  Asymptotically in the
 budget, the best such policy decomposes into two independent choices:
 
   1. per group, a deterministic deadline maximizing the reward per unit of
-     processing time r_k(t) = E[reward(t)] / E[min(X, t)];
+     processing time r_k(t) = E[reward(t)] / E[min(X, t)], read off the
+     (group, deadline) moment table of ``moment_grid``, which is the only
+     place the censored moments are evaluated over the deadline menu;
   2. a split of the time budget across groups, obtained from the KKT
      conditions of  max sum_k U_k(r_k* phi_k)  s.t.  sum_k phi_k = 1.
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DeadlineSet, GroupModel, reward_per_processing_time, truncated_mean_time, expected_reward
+from .distributions import DeadlineSet, GroupModel, expected_reward, truncated_mean_time
 from .utility import UtilitySpec, inverse_marginal, total_utility
 
 # Stop the dual bisection once the time shares sum to 1 within this.
@@ -72,42 +74,9 @@ def moment_grid(groups: list[GroupModel], deadlines: DeadlineSet) -> tuple[np.nd
     return mu, theta
 
 
-def optimal_deadline(group: GroupModel, deadlines: DeadlineSet, group_index: int = 0) -> GroupStats:
-    """Scan the deadline menu for the maximizer of reward per processing time.
-
-    Ties break toward the smallest deadline.  Raises NoRewardError if every
-    deadline yields zero expected reward.
-    """
-    best_t, best_rate = None, 0.0
-    for t in deadlines.deadlines:
-        rate = reward_per_processing_time(group, t)
-        if best_t is None or rate > best_rate:
-            best_t, best_rate = t, rate
-    if best_rate <= 0.0:
-        raise NoRewardError(
-            f"group {group.label or group_index} yields no reward at any deadline"
-        )
-    return GroupStats(
-        group=group_index,
-        label=group.label,
-        deadline=best_t,
-        rate=best_rate,
-        mean_processing_time=truncated_mean_time(group.completion, best_t),
-        mean_reward=expected_reward(group, best_t),
-    )
-
-
 # ---------------------------------------------------------------------------
 # time-share solvers
 # ---------------------------------------------------------------------------
-
-def _check_strictly_concave(utilities: list[UtilitySpec]) -> None:
-    if any(u.alpha == 0.0 for u in utilities):
-        raise ValueError(
-            "linear utilities (alpha=0) have a degenerate KKT system; "
-            "use alpha_fair_closed_form, which dispatches to the winner-take-all rule"
-        )
-
 
 def solve_fractions(
     utilities: list[UtilitySpec], stats: list[GroupStats]
@@ -119,7 +88,11 @@ def solve_fractions(
     decreasing in lam; bisection finds the lam with sum_k phi_k = 1.
     Groups with zero rate are excluded and get phi = 0.
     """
-    _check_strictly_concave(utilities)
+    if any(u.alpha == 0.0 for u in utilities):
+        raise ValueError(
+            "linear utilities (alpha=0) have a degenerate KKT system; "
+            "use alpha_fair_closed_form, which dispatches to the winner-take-all rule"
+        )
     if len(utilities) != len(stats):
         raise ValueError(f"{len(utilities)} utilities vs {len(stats)} groups")
     rates = np.array([s.rate for s in stats])
@@ -179,8 +152,8 @@ def alpha_fair_closed_form(
     rates = np.array([s.rate for s in stats])
     mus = np.array([s.mean_processing_time for s in stats])
     weights = np.array([u.weight for u in utilities])
-    excluded = tuple(int(i) for i in np.flatnonzero(rates <= 0.0))
-    if len(excluded) == len(stats):
+    active = rates > 0.0
+    if not active.any():
         raise NoRewardError("no group yields positive reward")
 
     if alpha == 0.0:
@@ -191,23 +164,27 @@ def alpha_fair_closed_form(
         lam = float(weights[winner] * rates[winner])
     else:
         numer = np.zeros(len(stats))
-        active = rates > 0.0
         numer[active] = weights[active] ** (1.0 / alpha) * rates[active] ** (1.0 / alpha - 1.0)
         phi = numer / numer.sum()
         sel_numer = np.where(active, numer / mus, 0.0)
         selection = sel_numer / sel_numer.sum()
         first = int(np.flatnonzero(active)[0])
         lam = float(weights[first] * rates[first] / (rates[first] * phi[first]) ** alpha)
+    return _solution(utilities, stats, phi, selection, lam)
 
+
+def _solution(
+    utilities: list[UtilitySpec], stats: list[GroupStats], phi: np.ndarray,
+    selection: np.ndarray, multiplier: float,
+) -> OfflineSolution:
+    """Assemble a solution from its time shares: the utility rate, whether a
+    starved group was evaluated at the rate floor, and the zero-rate groups."""
+    rates = np.array([s.rate for s in stats])
     utility_rate, floored = total_utility(utilities, rates * phi)
     return OfflineSolution(
-        stats=tuple(stats),
-        time_shares=phi,
-        selection=selection,
-        multiplier=lam,
-        utility_rate=utility_rate,
-        floored=floored,
-        excluded=excluded,
+        stats=tuple(stats), time_shares=phi, selection=selection, multiplier=multiplier,
+        utility_rate=utility_rate, floored=floored,
+        excluded=tuple(int(i) for i in np.flatnonzero(rates <= 0.0)),
     )
 
 
@@ -230,48 +207,31 @@ def solve(
 ) -> OfflineSolution:
     """Full offline solve: per-group optimal deadlines, then the budget split.
 
-    Shares a single alpha across groups via the closed form; heterogeneous
-    strictly concave utilities fall back to the dual bisection.  Groups with
-    no achievable reward are excluded (share 0) and reported in `excluded`.
+    Each group takes the first maximizer of reward per processing time in its
+    row of the moment table, so ties break toward the smallest deadline; a
+    group with no reward at any deadline gets rate 0 at the smallest deadline
+    and is excluded (share 0, reported in `excluded`).  A single alpha across
+    groups uses the closed form; heterogeneous strictly concave utilities use
+    the dual bisection.
     """
     if len(groups) != len(utilities):
         raise ValueError(f"{len(groups)} groups vs {len(utilities)} utilities")
-    stats = []
-    for i, g in enumerate(groups):
-        try:
-            stats.append(optimal_deadline(g, deadlines, group_index=i))
-        except NoRewardError:
-            t0 = deadlines.deadlines[0]
-            stats.append(
-                GroupStats(
-                    group=i,
-                    label=g.label,
-                    deadline=t0,
-                    rate=0.0,
-                    mean_processing_time=truncated_mean_time(g.completion, t0),
-                    mean_reward=0.0,
-                )
-            )
+    mu, theta = moment_grid(groups, deadlines)
+    rates = theta / mu
+    stats = [
+        GroupStats(group=k, label=g.label, deadline=deadlines.deadlines[j],
+                   rate=float(rates[k, j]), mean_processing_time=float(mu[k, j]),
+                   mean_reward=float(theta[k, j]))
+        for k, (g, j) in enumerate(zip(groups, rates.argmax(axis=1)))
+    ]
     if all(s.rate <= 0.0 for s in stats):
         raise NoRewardError("no group yields positive reward at any deadline")
 
     alphas = {u.alpha for u in utilities}
     if len(alphas) == 1:
         return alpha_fair_closed_form(alphas.pop(), utilities, stats)
-    _check_strictly_concave(utilities)
     phi, lam = solve_fractions(utilities, stats)
-    selection = selection_from_fractions(phi, stats)
-    rates = np.array([s.rate for s in stats])
-    utility_rate, floored = total_utility(utilities, rates * phi)
-    return OfflineSolution(
-        stats=tuple(stats),
-        time_shares=phi,
-        selection=selection,
-        multiplier=lam,
-        utility_rate=utility_rate,
-        floored=floored,
-        excluded=tuple(int(i) for i in np.flatnonzero(rates <= 0.0)),
-    )
+    return _solution(utilities, stats, phi, selection_from_fractions(phi, stats), lam)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,32 @@ def test_simulate_trace_written(tmp_path):
     assert [r[0] for r in rows[1:4]] == ["1", "2", "3"]
 
 
+
+@pytest.mark.parametrize("policy", [
+    "online",
+    "oracle_srp",
+    pytest.param({"srp": {"selection": [0.5, 0.5], "deadlines": [7, 4]}}, id="srp"),
+])
+def test_simulate_solves_the_offline_problem_once(tmp_path, monkeypatch, policy):
+    # the oracle policy and the regret baseline share one offline solution
+    import fairtime.offline
+    import fairtime.sim
+
+    real_solve, calls = fairtime.offline.solve, []
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return real_solve(*args, **kwargs)
+
+    for module in (fairtime.cli, fairtime.offline, fairtime.sim):
+        monkeypatch.setattr(module, "solve", counting_solve)
+    cfg = write_config(
+        tmp_path,
+        experiment={"kind": "simulate", "policy": policy, "budget": 100, "trials": 2},
+    )
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
 def test_regret_subcommand(tmp_path, capsys):
     cfg = write_config(
         tmp_path,

@@ -16,7 +16,6 @@ from fairtime import (
     ScaledUniform,
     expected_reward,
     mean_completion,
-    reward_per_processing_time,
     truncated_mean_time,
 )
 from fairtime.distributions import base_rewards, sample_completions
@@ -236,11 +235,12 @@ def test_expected_reward_monotone_in_deadline():
 
 def test_rate_frozen_value():
     g = GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6))
-    assert reward_per_processing_time(g, 5.0) == pytest.approx(TH1_AT_5 / MU1_AT_5, rel=1e-12)
+    rate = expected_reward(g, 5.0) / truncated_mean_time(g.completion, 5.0)
+    assert rate == pytest.approx(TH1_AT_5 / MU1_AT_5, rel=1e-12)
 
 
 def test_rate_trivial_cases():
     g = GroupModel(Deterministic(2.0), Constant(1.0))
-    assert reward_per_processing_time(g, 3.0) == pytest.approx(0.5)
+    assert expected_reward(g, 3.0) / truncated_mean_time(g.completion, 3.0) == 0.5
     pareto = GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6))
-    assert reward_per_processing_time(pareto, 0.5) == 0.0
+    assert expected_reward(pareto, 0.5) / truncated_mean_time(pareto.completion, 0.5) == 0.0

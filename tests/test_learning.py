@@ -272,6 +272,28 @@ def test_block_feedback_matches_stage_by_stage():
         assert runs[0][3] == 40 - delay
 
 
+
+def test_infinite_completion_censored_like_a_huge_one():
+    # an overflowing Pareto draw (inf) with a power-of-time reward (inf ** b
+    # = inf) is interrupted at every deadline, exactly like a huge finite
+    # draw; masking the reward by multiplication would give inf * 0 = NaN
+    b = 0.005
+    runs = []
+    for big in (np.inf, 1e300):
+        x = np.array([[0.5, big, 1.5], [1.0, big, 0.7]])
+        lr = make_learner(delay=1)
+        lr.ingest_feedback(1, x, x ** b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(4):
+                lr.decide()
+                lr.update_queues(0, 1.0, 0.0, np.zeros(2))
+            busy, reward = lr.estimates()
+        assert lr.released_samples == 3
+        assert np.isfinite(busy).all() and np.isfinite(reward).all()
+        runs.append((busy.tobytes(), reward.tobytes()))
+    assert runs[0] == runs[1]
+
 def test_release_schedule_matches_delay():
     for delay in (1, 3):
         lr = make_learner(delay=delay)

@@ -5,6 +5,7 @@ from fairtime import (
     Constant,
     DeadlineSet,
     Deterministic,
+    Exponential,
     GroupModel,
     GroupStats,
     NoRewardError,
@@ -13,16 +14,18 @@ from fairtime import (
     SrpPolicy,
     UtilitySpec,
     alpha_fair_closed_form,
+    expected_reward,
     marginal,
     moment_grid,
-    optimal_deadline,
     selection_from_fractions,
     solve,
     solve_fractions,
     srp_group_rates,
+    truncated_mean_time,
     utility_rate_of_srp,
 )
 from helpers import (
+    FAMILY_GROUPS,
     LAM_ALPHA_HALF,
     MU1_STAR,
     MU2_STAR,
@@ -36,6 +39,7 @@ from helpers import (
     T1_STAR,
     T2_STAR,
     TH1_STAR,
+    TH2_STAR,
     alpha_fair_optimum_reference,
     random_positive_instance,
     two_group_env,
@@ -47,44 +51,64 @@ from helpers import (
 # optimal deadlines
 # ---------------------------------------------------------------------------
 
+def _optimal_stats(groups, deadlines):
+    return solve(groups, deadlines, uniform_utilities(1.0, len(groups))).stats
+
+
 def test_optimal_deadline_trivial():
     g = GroupModel(Deterministic(2.0), Constant(1.0))
-    st = optimal_deadline(g, DeadlineSet((1.0, 2.0, 3.0)))
-    assert (st.deadline, st.rate) == (2.0, 0.5)
+    (st,) = _optimal_stats([g], DeadlineSet((1.0, 2.0, 3.0)))
+    assert (st.group, st.deadline, st.rate, st.mean_processing_time, st.mean_reward) == (
+        0, 2.0, 0.5, 2.0, 1.0)
 
 
 def test_optimal_deadline_tie_breaks_to_smallest():
     # deadline 1 and 2 both give rate 1 for a unit deterministic task
     g = GroupModel(Deterministic(1.0), Constant(1.0))
-    st = optimal_deadline(g, DeadlineSet((1.0, 2.0)))
-    assert st.deadline == 1.0
+    (st,) = _optimal_stats([g], DeadlineSet((1.0, 2.0)))
+    assert (st.deadline, st.rate) == (1.0, 1.0)
 
 
 def test_optimal_deadline_two_group_interior_maxima():
     groups, deadlines = two_group_env()
-    st1 = optimal_deadline(groups[0], deadlines, 0)
-    st2 = optimal_deadline(groups[1], deadlines, 1)
+    st1, st2 = _optimal_stats(groups, deadlines)
+    assert (st1.group, st1.label, st2.group, st2.label) == (0, "group1", 1, "group2")
     assert st1.deadline == T1_STAR
     assert st1.rate == pytest.approx(R1_STAR, rel=1e-12)
     assert st1.mean_processing_time == pytest.approx(MU1_STAR, rel=1e-12)
     assert st1.mean_reward == pytest.approx(TH1_STAR, rel=1e-12)
     assert st2.deadline == T2_STAR
     assert st2.rate == pytest.approx(R2_STAR, rel=1e-12)
+    assert st2.mean_processing_time == pytest.approx(MU2_STAR, rel=1e-12)
+    assert st2.mean_reward == pytest.approx(TH2_STAR, rel=1e-12)
     assert st1.rate > st2.rate
 
 
 def test_group_stats_ratio_exact():
     groups, deadlines = two_group_env()
-    for i, g in enumerate(groups):
-        st = optimal_deadline(g, deadlines, i)
-        assert st.rate == st.mean_reward / st.mean_processing_time
+    every_family = [g for g, _ in FAMILY_GROUPS]
+    for members in (groups, every_family):
+        for st in _optimal_stats(members, deadlines):
+            assert st.rate == st.mean_reward / st.mean_processing_time
+            assert st.mean_processing_time == truncated_mean_time(
+                members[st.group].completion, st.deadline)
+            assert st.mean_reward == expected_reward(members[st.group], st.deadline)
 
 
 def test_optimal_deadline_no_reward_signalled():
     # the task never finishes within any deadline on the menu
-    g = GroupModel(Deterministic(5.0), Constant(1.0))
+    g = GroupModel(Deterministic(5.0), Constant(1.0), "never_done")
+    deadlines = DeadlineSet((1.0, 2.0))
     with pytest.raises(NoRewardError):
-        optimal_deadline(g, DeadlineSet((1.0, 2.0)))
+        solve([g], deadlines, [UtilitySpec(1.0)])
+    zero = GroupModel(Exponential(2.0), Constant(0.0), "zero_reward")
+    unit = GroupModel(Deterministic(1.0), Constant(1.0), "unit")
+    sol = solve([g, zero, unit], deadlines, uniform_utilities(1.0, 3))
+    for st, member in zip(sol.stats[:2], (g, zero)):
+        assert (st.deadline, st.rate, st.mean_processing_time, st.mean_reward) == (
+            1.0, 0.0, truncated_mean_time(member.completion, 1.0), 0.0)
+    assert sol.excluded == (0, 1)
+    assert sol.time_shares.tolist() == [0.0, 0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,25 @@ def test_online_episode_sampling_overflow_still_warns():
     policy = OnlinePolicy(LearnerParams(v=10.0))
     with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
         run_episode(groups, deadlines, uniform_utilities(1.0), policy, 2000.0, seed=0)
+
+
+def test_online_episode_overflowing_power_reward_stays_finite():
+    # the overflowing draws are inf, and so are their power-of-time rewards;
+    # the learner must censor them without an invalid-value warning (inf * 0)
+    groups = [
+        GroupModel(Pareto(1.0, 0.01), PowerOfTime(0.005), "overflowing"),
+        GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6), "pareto"),
+    ]
+    _, deadlines = two_group_env()
+    policy = OnlinePolicy(LearnerParams(v=10.0))
+    for seed in (0, 1):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run_episode(groups, deadlines, uniform_utilities(1.0), policy, 2000.0, seed)
+        messages = [str(w.message) for w in caught]
+        assert any("overflow encountered in power" in m for m in messages)
+        assert not any("invalid value" in m for m in messages)
+        assert np.isfinite(res.reward_rates).all() and np.isfinite(res.time_shares).all()
 
 
 # ---------------------------------------------------------------------------
