@@ -11,16 +11,21 @@ The two moments that drive every policy in this package are therefore
 
 Both are computed in closed form for every supported distribution family
 except Exponential completion paired with a power-of-time reward, which falls
-back to adaptive quadrature at absolute tolerance ``QUAD_ABS_TOL``.
+back to adaptive quadrature at absolute tolerance ``QUAD_ABS_TOL``: the
+in-tree QAGS port of ``quadrature``, which returns the same doubles as
+``scipy.integrate.quad`` without importing scipy.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+
+from .quadrature import qags
 
 # Quadrature fallback tolerance: the moments feed a bisection solver, so they
 # have to be accurate well below the solver's own 1e-10 stopping criterion.
@@ -269,7 +274,9 @@ def expected_reward(group: GroupModel, t: float) -> float:
         g * s**b / (g - b) * (1 - (t/s)**(b-g)),
     zero below the support minimum.  Rewards independent of X reduce to
     E[base reward] * P(X <= t).  Exponential completion with PowerOfTime uses
-    adaptive quadrature on [0, t] at absolute tolerance QUAD_ABS_TOL.
+    QAGS adaptive quadrature on [0, t] at absolute tolerance QUAD_ABS_TOL,
+    bit for bit what ``scipy.integrate.quad`` returns, and warns (UserWarning)
+    when QUADPACK reports the tolerance may not be met.
     """
     if not t > 0:
         raise ValueError(f"deadline must be > 0, got {t}")
@@ -292,12 +299,16 @@ def expected_reward(group: GroupModel, t: float) -> float:
         x = np.asarray(completion.samples)
         return float(np.mean(np.where(x <= t, x ** b, 0.0)))
     if isinstance(completion, Exponential):
-        from scipy import integrate  # about 0.5 s to import; no other moment needs it
-
         rate = completion.rate
-        value, _ = integrate.quad(
-            lambda x: x ** b * rate * math.exp(-rate * x), 0.0, t, epsabs=QUAD_ABS_TOL
+        value, abserr, ier = qags(
+            lambda x: x ** b * rate * math.exp(-rate * x), 0.0, t, QUAD_ABS_TOL
         )
+        if ier != 0:
+            warnings.warn(
+                f"QUADPACK ier={ier} for E[X**{b} 1{{X <= {t}}}] under Exponential({rate}): "
+                f"estimated error {abserr:.3g} may exceed the tolerance",
+                UserWarning, stacklevel=2,
+            )
         return value
     raise TypeError(f"unknown completion spec {completion!r}")
 

@@ -18,6 +18,7 @@ family.  ``solve`` is the convenience entry point used by the CLI.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ class NoRewardError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Raised when an iterative solve fails to converge."""
+    """Raised when an iterative solve fails to converge or a moment overflows float64."""
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,27 @@ class OfflineSolution:
 
 def moment_grid(groups: list[GroupModel], deadlines: DeadlineSet) -> tuple[np.ndarray, np.ndarray]:
     """(mu, theta) arrays of shape (K, L): truncated mean times and expected
-    rewards for every group at every deadline."""
+    rewards for every group at every deadline.
+
+    Raises NumericalError, naming the group and the deadline, when a moment
+    overflows float64 (e.g. a large power-of-time exponent).
+    """
     grid = deadlines.deadlines
-    mu = np.array([[truncated_mean_time(g.completion, t) for t in grid] for g in groups])
-    theta = np.array([[expected_reward(g, t) for t in grid] for g in groups])
+    mu = np.empty((len(groups), len(grid)))
+    theta = np.empty_like(mu)
+    # a censored sample's X**b may overflow to inf before np.where drops it
+    with np.errstate(over="ignore"):
+        for k, g in enumerate(groups):
+            for j, t in enumerate(grid):
+                try:
+                    cell = (truncated_mean_time(g.completion, t), expected_reward(g, t))
+                except OverflowError:
+                    cell = (math.inf, math.inf)
+                if not (math.isfinite(cell[0]) and math.isfinite(cell[1])):
+                    raise NumericalError(
+                        f"group {g.label!r}: the moments at deadline {t:g} overflow float64"
+                    )
+                mu[k, j], theta[k, j] = cell
     return mu, theta
 
 

@@ -254,13 +254,11 @@ def test_unwritable_output_paths_exit_2_with_out_dir(tmp_path, capsys, command):
     assert "config error at out_dir:" in err and str(out / csv_name) in err
 
 
-def test_pareto_simulate_does_not_import_scipy(tmp_path):
-    # scipy serves only the Exponential + PowerOfTime quadrature
-    cfg = write_config(tmp_path)
+def assert_imports_no_scipy(tmp_path, command, cfg):
     code = (
         "import sys\n"
         "import fairtime.cli\n"
-        f"code = fairtime.cli.main(['simulate', {cfg!r}, '--out-dir', {str(tmp_path)!r}])\n"
+        f"code = fairtime.cli.main([{command!r}, {cfg!r}, '--out-dir', {str(tmp_path)!r}])\n"
         "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(fairtime.__file__).resolve().parents[1])
@@ -268,6 +266,25 @@ def test_pareto_simulate_does_not_import_scipy(tmp_path):
                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_pareto_simulate_does_not_import_scipy(tmp_path):
+    assert_imports_no_scipy(tmp_path, "simulate", write_config(tmp_path))
+
+
+def test_exp_pow_regret_does_not_import_scipy(tmp_path):
+    # the Exponential + PowerOfTime moment takes the in-tree quadrature
+    cfg = write_config(
+        tmp_path,
+        groups=[
+            {"label": "exp_pow", "completion": {"exponential": {"rate": 0.5}},
+             "reward": {"power_of_time": {"exponent": 0.8}}},
+            {"label": "group2", "completion": {"pareto": {"scale": 1.0, "shape": 1.4}},
+             "reward": {"power_of_time": {"exponent": 0.2}}},
+        ],
+        experiment={"kind": "regret", "budget_grid": [50, 100, 400, 2000], "trials": 2},
+    )
+    assert_imports_no_scipy(tmp_path, "regret", cfg)
 
 
 def test_kind_mismatch_exit_code(tmp_path, capsys):
@@ -291,3 +308,27 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     )
     assert main(["offline", cfg, "--out-dir", str(tmp_path)]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group1", [
+    {"exponential": {"rate": 1.0}},
+    {"deterministic": {"value": 1e10}},
+    {"empirical": {"samples": [1e10, 2.0]}},
+], ids=["exponential", "deterministic", "empirical"])
+@pytest.mark.parametrize("command", ["offline", "moments"])
+def test_overflowing_moment_exits_3_naming_group_and_deadline(tmp_path, capsys, command, group1):
+    cfg = write_config(
+        tmp_path,
+        groups=[
+            {"label": "huge", "completion": group1,
+             "reward": {"power_of_time": {"exponent": 50.0}}},
+            {"label": "group2", "completion": {"pareto": {"scale": 1.0, "shape": 1.4}},
+             "reward": {"power_of_time": {"exponent": 0.2}}},
+        ],
+        deadlines=[1.5, 2, 1e12],
+        experiment={"kind": "offline"},
+    )
+    assert main([command, cfg, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "'huge'" in err and "deadline 1e+12" in err
+    assert not (tmp_path / f"{command}.csv").exists()
