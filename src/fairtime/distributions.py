@@ -30,6 +30,8 @@ from .quadrature import qags
 # Quadrature fallback tolerance: the moments feed a bisection solver, so they
 # have to be accurate well below the solver's own 1e-10 stopping criterion.
 QUAD_ABS_TOL = 1e-10
+# math.exp(-x) underflows to 0.0 for x above about 745.13
+EXP_UNDERFLOW = 750.0
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +276,8 @@ def expected_reward(group: GroupModel, t: float) -> float:
         g * s**b / (g - b) * (1 - (t/s)**(b-g)),
     zero below the support minimum.  Rewards independent of X reduce to
     E[base reward] * P(X <= t).  Exponential completion with PowerOfTime uses
-    QAGS adaptive quadrature on [0, t] at absolute tolerance QUAD_ABS_TOL,
+    QAGS adaptive quadrature on [0, min(t, EXP_UNDERFLOW / rate)], past
+    which the integrand underflows to 0, at absolute tolerance QUAD_ABS_TOL,
     bit for bit what ``scipy.integrate.quad`` returns, and warns (UserWarning)
     when QUADPACK reports the tolerance may not be met.
     """
@@ -300,8 +303,11 @@ def expected_reward(group: GroupModel, t: float) -> float:
         return float(np.mean(np.where(x <= t, x ** b, 0.0)))
     if isinstance(completion, Exponential):
         rate = completion.rate
+        # exp(-rate x) is 0.0 past rate x = EXP_UNDERFLOW, and so is the
+        # integrand; over a much longer [0, t] the rule's nodes miss the mass
+        # near 0 and QUADPACK returns about 0 with ier 0
         value, abserr, ier = qags(
-            lambda x: x ** b * rate * math.exp(-rate * x), 0.0, t, QUAD_ABS_TOL
+            lambda x: x ** b * rate * math.exp(-rate * x), 0.0, min(t, EXP_UNDERFLOW / rate), QUAD_ABS_TOL
         )
         if ier != 0:
             warnings.warn(

@@ -26,6 +26,14 @@ reward_sums / busy_sums, never depend on the learner's decisions, so they
 are computed a block of stages at a time, with one cumulative sum, and each
 decision reads the row of the last released stage.
 
+The numpy work happens once per block.  The per-task state (queues, target
+caps, and the released stage's best rate, first best deadline and largest
+lesser rate per group) is Python floats, whose arithmetic has the bits of
+float64 elements.  The one exception is the power in the target formula:
+numpy's vectorized ``pow`` (SVML on AVX-512 hosts) rounds differently from
+libm's ``**`` in a few percent of inputs, so when some alpha is neither 0
+nor 1 the raw targets still go through one ``np.power`` call per task.
+
 When every utility is linear (alpha = 0 across the board) the queue
 machinery buys nothing: the objective is a plain weighted sum of rates, so
 the learner greedily maximizes the empirical weighted rate w_k * rate(k, t)
@@ -36,8 +44,11 @@ near v * w and keep granting the slower groups a Theta(1/v) share forever.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul, truediv
 
 import numpy as np
 
@@ -93,15 +104,16 @@ class OnlineLearner:
         self.deadline_grid = deadlines.as_array()
         self._deadlines = self.deadline_grid.tolist()
         self.n_groups = len(utilities)
-        self._alphas = np.array([u.alpha for u in utilities])
-        self._weights = np.array([u.weight for u in utilities])
-        self._inv_alpha = np.where(self._alphas > 0, 1.0 / np.maximum(self._alphas, 1e-300), 1.0)
-        self._linear = self._alphas == 0.0
-        self._greedy = bool(self._linear.all())
-        self._any_linear = bool(self._linear.any())
-        self._wv = self._weights * params.v
+        alphas = [float(u.alpha) for u in utilities]
+        self._weights = [float(u.weight) for u in utilities]
+        self._wv = [w * params.v for w in self._weights]
+        self._linear_groups = [k for k, a in enumerate(alphas) if a == 0.0]
+        self._greedy = len(self._linear_groups) == self.n_groups
+        self._inv_alpha = np.array([1.0 / max(a, 1e-300) if a > 0 else 1.0 for a in alphas])
+        # x ** 1.0 is x: the power is needed only where some 1/alpha is not 1
+        self._power = bool((self._inv_alpha != 1.0).any())
         # queues start at 1 so the inverse marginal is finite from the start
-        self.queues = np.ones(self.n_groups)
+        self._queues = [1.0] * self.n_groups
         self.tasks_done = 0
         # first max(delay, K) tasks cycle the groups round-robin at the
         # largest deadline (least censoring, most informative samples)
@@ -113,14 +125,27 @@ class OnlineLearner:
         self._folded = 0
         # running sums after stages _folded - C .. _folded of the last folded
         # block (row 0 carries the earlier blocks); _fold adds the per-stage
-        # rates _rate_block and their row maxima _cap_block, the caps
+        # rates _rate_block and, as lists, their row maxima _best_rows, the
+        # first deadlines at them _arg_rows and the next lower rates _below_rows
         self._busy_sums = np.zeros((1, self.n_groups, len(self._deadlines)))
         self._reward_sums = np.zeros_like(self._busy_sums)
         # _row indexes the last released stage from the end of those blocks;
-        # its rates (None until the first release) and caps are kept as views
-        self._rates: np.ndarray | None = None
+        # _best (None until the first release) holds its per-group best rate
+        self._best: list[float] | None = None
         cap = FALLBACK_RATE_CAP if params.target_rate_cap is None else params.target_rate_cap
-        self._caps = np.full(self.n_groups, cap)
+        self._caps = [float(cap)] * self.n_groups
+
+    @property
+    def queues(self) -> np.ndarray:
+        """The virtual queues, as a fresh float64 array; assign to replace them."""
+        return np.array(self._queues)
+
+    @queues.setter
+    def queues(self, values) -> None:
+        q = np.asarray(values, dtype=float)
+        if q.shape != (self.n_groups,) or not (q >= 0.0).all():
+            raise ValueError(f"queues must be {self.n_groups} values >= 0, got {values!r}")
+        self._queues = q.tolist()
 
     # -- feedback ----------------------------------------------------------
 
@@ -149,22 +174,25 @@ class OnlineLearner:
         # round differently from adding the stages one at a time
         self._busy_sums = np.cumsum(np.concatenate((self._busy_sums[-1:], busy)), axis=0)
         self._reward_sums = np.cumsum(np.concatenate((self._reward_sums[-1:], reward)), axis=0)
-        self._rate_block = self._reward_sums[1:] / self._busy_sums[1:]
-        self._cap_block = self._rate_block.max(axis=2)
+        rates = self._rate_block = self._reward_sums[1:] / self._busy_sums[1:]
+        # per stage and group: the best rate, the first deadline at it, and
+        # the largest rate below it (-inf if none); a chain of np.maximum over
+        # the short deadline axis costs a third of .max(axis=2)
+        best = reduce(np.maximum, rates.transpose(2, 0, 1))
+        below = np.where(rates < best[:, :, None], rates, -np.inf)
+        self._best_rows = best.tolist()
+        self._arg_rows = rates.argmax(axis=2).tolist()
+        self._below_rows = reduce(np.maximum, below.transpose(2, 0, 1)).tolist()
         self._folded += x.shape[0]
 
-    def _release_due(self) -> None:
-        # usable when deciding task m: stages <= m - delay
-        released = min(self.tasks_done + 1 - self.params.delay, self._ingested)
-        if released <= self._released:
-            return
+    def _release(self, released: int) -> None:
         while self._folded < released:
             self._fold(*self._pending.popleft())
         self._released = released
         self._row = row = released - self._folded - 1
-        self._rates = self._rate_block[row]
+        self._best = self._best_rows[row]
         if self.params.target_rate_cap is None:
-            self._caps = self._cap_block[row]
+            self._caps = self._best
 
     @property
     def released_samples(self) -> int:
@@ -187,13 +215,30 @@ class OnlineLearner:
         replace the queues when all utilities are linear); ties break to the
         smallest group index, then the smallest deadline.
         """
-        self._release_due()
         task = self.tasks_done + 1
+        # usable when deciding task m: stages <= m - delay
+        released = min(task - self.params.delay, self._ingested)
+        if released > self._released:
+            self._release(released)
         if task <= self.cold_start_tasks:
             return (task - 1) % self.n_groups, self._deadlines[-1]
-        multipliers = self._weights if self._greedy else self.queues
-        scores = self._rates * multipliers[:, None]
-        k, l = divmod(int(scores.argmax()), len(self._deadlines))
+        multipliers = self._weights if self._greedy else self._queues
+        # rounding is monotone and the multipliers are >= 0, so a group's best
+        # score is its multiplier times its best rate: the first group with
+        # the top product, at its first deadline scoring that product, is the
+        # first arg-max of the flattened (group, deadline) score grid
+        products = list(map(mul, multipliers, self._best))
+        top = max(products)
+        total = sum(products)
+        if total - total == 0.0:
+            k = products.index(top)
+            m = multipliers[k]
+            l = self._arg_rows[self._row][k]
+            if m * self._below_rows[self._row][k] == top:  # a smaller rate rounds to the top too
+                l = [m * rate for rate in self._rate_block[self._row, k].tolist()].index(top)
+        else:  # an inf or NaN product: numpy's arg-max, NaN first
+            scores = self._rate_block[self._row] * np.array(multipliers)[:, None]
+            k, l = divmod(int(scores.argmax()), len(self._deadlines))
         return k, self._deadlines[l]
 
     def target_rates(self) -> np.ndarray:
@@ -208,16 +253,29 @@ class OnlineLearner:
         there is no fairness debt to track, so all targets are zero.
         """
         with np.errstate(divide="ignore", over="ignore"):
-            return self._targets()
+            return self._targets()[1]
 
-    def _targets(self) -> np.ndarray:
+    def _targets(self) -> tuple[list[float], np.ndarray]:
+        """The target rates as floats and as a fresh float64 array."""
         if self._greedy:
-            return np.zeros(self.n_groups)
-        raw = (self._wv / self.queues) ** self._inv_alpha
-        rates = np.minimum(raw, self._caps)
-        if self._any_linear:
-            rates = np.where(self._linear, self._caps * (self.queues < self._wv), rates)
-        return rates
+            return [0.0] * self.n_groups, np.zeros(self.n_groups)
+        try:
+            raw = list(map(truediv, self._wv, self._queues))
+        except ZeroDivisionError:  # numpy's w v / 0 = inf
+            raw = [wv / q if q else math.inf for wv, q in zip(self._wv, self._queues)]
+        powered = None
+        if self._power:
+            powered = np.power(np.array(raw), self._inv_alpha)
+            raw = powered.tolist()
+        targets = []
+        for r, cap in zip(raw, self._caps):
+            targets.append(r if r <= cap or r != r else cap)  # np.minimum(r, cap)
+        for k in self._linear_groups:
+            targets[k] = self._caps[k] * (self._queues[k] < self._wv[k])
+        # the powered array already holds the targets unless a cap or a linear group changed one
+        if powered is not None and targets == raw:
+            return targets, powered
+        return targets, np.array(targets)
 
     def update_queues(
         self,
@@ -232,15 +290,25 @@ class OnlineLearner:
 
     def step(self, chosen: int, elapsed: float, reward: float, targets=None) -> np.ndarray:
         """The engine's fused step: ``update_queues`` with the pre-update queues' targets,
-        returned fresh.  It runs under the caller's errstate, ignoring divide and overflow."""
+        returned as a fresh float64 array.  It runs under the caller's errstate, ignoring
+        divide and overflow.  Explicit targets must be >= 0."""
         if elapsed < 0:
             raise ValueError(f"elapsed time must be >= 0, got {elapsed}")
         if reward < 0:
             raise ValueError(f"reward must be >= 0, got {reward}")
         if targets is None:
-            targets = self._targets()
-        self.queues = self.queues + targets * elapsed
-        self.queues[chosen] -= reward
-        np.maximum(self.queues, 0.0, out=self.queues)
+            targets, returned = self._targets()
+        else:
+            returned = np.array(targets, dtype=float)
+            if (returned < 0.0).any():
+                raise ValueError(f"targets must be >= 0, got {returned}")
+            targets = returned.tolist()
+        queues = []
+        for q, target in zip(self._queues, targets):
+            queues.append(q + target * elapsed)
+        # targets >= 0 keep every other queue >= 0 (or NaN), as np.maximum(q, 0) would
+        q = queues[chosen] - reward
+        queues[chosen] = 0.0 if q < 0.0 else q
+        self._queues = queues
         self.tasks_done += 1
-        return targets
+        return returned

@@ -261,7 +261,7 @@ def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trac
                 total += elapsed
                 if trace is not None:
                     trace.append({"task": n, "group": k, "deadline": t, "elapsed": elapsed, "reward": reward,
-                                  "queues": learner.queues.copy(), "targets": targets})
+                                  "queues": learner.queues, "targets": targets})
                 if total > budget:
                     break
     return (np.array(time_tot), np.array(reward_tot), n, elapsed, k, reward), trace

@@ -18,10 +18,13 @@ from fairtime import (
     Empirical,
     Exponential,
     GroupModel,
+    LearnerParams,
+    OnlinePolicy,
     Pareto,
     PowerOfTime,
     ScaledUniform,
     UtilitySpec,
+    run_episode,
 )
 
 DEADLINE_GRID = (1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0)
@@ -47,6 +50,23 @@ FAMILY_GROUPS = [
     (GroupModel(Pareto(2.0, 2.5), ScaledUniform(0.0, 2.0), "pareto_uniform"), 1.25),
     (GroupModel(Exponential(0.25), ScaledUniform(1.0, 3.0), "exp_uniform"), 0.8),
 ]
+
+
+MIXED_ALPHAS = (2.0, 0.0, 1.0, 0.5)
+
+
+def family_episode(k, alpha, delay, cap, seed, budget):
+    """One online episode on the first k FAMILY_GROUPS with their weights at
+    v = 5, as the frozen digests run it: alpha is one value or "mixed"
+    (MIXED_ALPHAS in turn); seed 0 traces every task, seed 1 drops the
+    crossing task."""
+    alphas = [MIXED_ALPHAS[i % 4] if alpha == "mixed" else alpha for i in range(k)]
+    utilities = [UtilitySpec(a, w) for a, (_, w) in zip(alphas, FAMILY_GROUPS)]
+    policy = OnlinePolicy(LearnerParams(v=5.0, delay=delay, target_rate_cap=cap))
+    return run_episode(
+        [g for g, _ in FAMILY_GROUPS[:k]], DeadlineSet(DEADLINE_GRID), utilities, policy, budget, seed,
+        truncate_last=seed == 1, collect_trace=seed == 0,
+    )
 
 
 def episode_digest(res) -> str:

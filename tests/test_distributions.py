@@ -14,8 +14,10 @@ from fairtime import (
     Pareto,
     PowerOfTime,
     ScaledUniform,
+    UtilitySpec,
     expected_reward,
     mean_completion,
+    solve,
     truncated_mean_time,
 )
 from fairtime.distributions import base_rewards, sample_completions
@@ -206,6 +208,23 @@ def test_expected_reward_exponential_power_quadrature():
     t = 3.0
     oracle = gamma(1.6) * gammainc(1.6, 0.8 * t) / 0.8 ** 0.6
     assert expected_reward(g, t) == pytest.approx(oracle, rel=1e-9)
+
+
+@pytest.mark.parametrize("rate, b", [(1.0, 0.5), (0.25, 0.8), (2.0, 2.0), (50.0, 1.5), (1.0, 50.0)])
+def test_expected_reward_exponential_power_far_deadlines(rate, b):
+    # E[X**b] = Gamma(b + 1) / rate**b; past rate x ~ 745 the integrand
+    # underflows to 0, and the quadrature must still find the mass near 0
+    g = GroupModel(Exponential(rate), PowerOfTime(b))
+    for t in (1e5, 1e6, 1e9):
+        assert expected_reward(g, t) == pytest.approx(math.gamma(b + 1) / rate ** b, rel=1e-9)
+
+
+def test_far_deadline_menu_keeps_exponential_power_group():
+    groups = [GroupModel(Exponential(1.0), PowerOfTime(0.5), "exp_pow"),
+              GroupModel(Pareto(1.0, 1.4), PowerOfTime(0.2), "pareto")]
+    sol = solve(groups, DeadlineSet((1e5, 1e6)), [UtilitySpec(1.0), UtilitySpec(1.0)])
+    assert sol.excluded == ()
+    assert sol.stats[0].mean_reward == pytest.approx(math.gamma(1.5), rel=1e-9)
 
 
 def test_expected_reward_pareto_power_vs_quadrature_sweep():

@@ -25,15 +25,11 @@ from pathlib import Path
 
 import pytest
 
-from fairtime import DeadlineSet, LearnerParams, OnlinePolicy, UtilitySpec, run_episode
-from helpers import DEADLINE_GRID, FAMILY_GROUPS, episode_digest
+from helpers import episode_digest, family_episode
 
 DATA = Path(__file__).parent / "data" / "episode_digests.json"
 
-DEADLINES = DeadlineSet(DEADLINE_GRID)
-MIXED_ALPHAS = (2.0, 0.0, 1.0, 0.5)
 BUDGETS = {1: 40.0, 3: 40.0, 300: 2000.0, 600: 3000.0}
-V = 5.0
 
 
 def cases():
@@ -50,14 +46,7 @@ def case_id(delay, k, alpha, cap, seed) -> str:
 
 
 def episode(delay, k, alpha, cap, seed):
-    alphas = [MIXED_ALPHAS[i % 4] if alpha == "mixed" else alpha for i in range(k)]
-    utilities = [UtilitySpec(a, w) for a, (_, w) in zip(alphas, FAMILY_GROUPS)]
-    policy = OnlinePolicy(LearnerParams(v=V, delay=delay, target_rate_cap=cap))
-    # seed 0 traces every task; seed 1 drops the crossing task instead
-    return run_episode(
-        [g for g, _ in FAMILY_GROUPS[:k]], DEADLINES, utilities, policy, BUDGETS[delay], seed,
-        truncate_last=seed == 1, collect_trace=seed == 0,
-    )
+    return family_episode(k, alpha, delay, cap, seed, BUDGETS[delay])
 
 
 @pytest.mark.parametrize("delay", list(BUDGETS))

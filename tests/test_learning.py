@@ -36,7 +36,7 @@ def test_params_validation():
 
 def test_queue_update_arithmetic():
     lr = make_learner()
-    lr.queues[:] = [1.0, 1.0]
+    lr.queues = [1.0, 1.0]
     # group 0 chosen; group 1's queue only accrues target inflow
     lr.update_queues(0, elapsed=2.0, reward=3.0, targets=np.array([0.5, 0.5]))
     assert lr.queues[1] == pytest.approx(2.0)           # 1 + 0.5*2
@@ -46,7 +46,7 @@ def test_queue_update_arithmetic():
 
 def test_queue_zero_fixed_point():
     lr = make_learner()
-    lr.queues[:] = [0.0, 0.0]
+    lr.queues = [0.0, 0.0]
     lr.update_queues(1, elapsed=5.0, reward=0.0, targets=np.zeros(2))
     assert lr.queues == pytest.approx([0.0, 0.0])
 
@@ -57,6 +57,21 @@ def test_queue_update_rejects_negative():
         lr.update_queues(0, elapsed=-1.0, reward=0.0)
     with pytest.raises(ValueError):
         lr.update_queues(0, elapsed=1.0, reward=-0.1)
+
+
+def test_queues_property_returns_a_copy_and_validates_assignment():
+    lr = make_learner()
+    q = lr.queues
+    q[0] = 7.0                                          # a fresh array: the learner keeps its own
+    assert lr.queues.tolist() == [1.0, 1.0]
+    lr.queues = np.array([0.5, 2.0])
+    assert lr.queues.dtype == np.float64 and lr.queues.tolist() == [0.5, 2.0]
+    for bad in ([1.0], [1.0, -1e-300], [1.0, float("nan")]):
+        with pytest.raises(ValueError, match="queues must be"):
+            lr.queues = bad
+    with pytest.raises(ValueError, match="targets must be"):
+        lr.update_queues(0, 1.0, 0.0, np.array([0.5, -0.5]))
+    assert lr.queues.tolist() == [0.5, 2.0] and lr.tasks_done == 0
 
 
 def test_queues_stay_nonnegative_under_random_updates():
@@ -76,25 +91,25 @@ def test_queues_stay_nonnegative_under_random_updates():
 
 def test_target_rate_log_utility():
     lr = make_learner(alphas=(1.0, 1.0), v=20.0, cap=1e9)
-    lr.queues[:] = [2.0, 2.0]
+    lr.queues = [2.0, 2.0]
     assert lr.target_rates()[0] == pytest.approx(10.0)  # w v / Q
 
 
 def test_target_rate_square_root_case():
     lr = make_learner(alphas=(2.0, 2.0), v=20.0, cap=1e9)
-    lr.queues[:] = [5.0, 5.0]
+    lr.queues = [5.0, 5.0]
     assert lr.target_rates()[0] == pytest.approx(2.0)   # (20/5)**(1/2)
 
 
 def test_target_rate_cap_binds_at_zero_queue():
     lr = make_learner(alphas=(2.0, 2.0), cap=0.6)
-    lr.queues[:] = [0.0, 4.0]
+    lr.queues = [0.0, 4.0]
     assert lr.target_rates()[0] == pytest.approx(0.6)
 
 
 def test_target_rate_empirical_cap_and_fallback():
     lr = make_learner(alphas=(1.0, 1.0), v=20.0)
-    lr.queues[:] = [1e-9, 1e-9]
+    lr.queues = [1e-9, 1e-9]
     # no samples released yet: fixed fallback cap
     assert lr.target_rates() == pytest.approx([FALLBACK_RATE_CAP] * 2)
     lr.update_queues(0, 1.0, 0.0, np.zeros(2))
@@ -106,10 +121,10 @@ def test_target_rate_empirical_cap_and_fallback():
 
 def test_mixed_linear_group_uses_subgradient():
     lr = make_learner(alphas=(0.0, 1.0), v=20.0, cap=0.7)
-    lr.queues[:] = [10.0, 20.0]
+    lr.queues = [10.0, 20.0]
     rates = lr.target_rates()
     assert rates[0] == pytest.approx(0.7)               # Q/v = 0.5 < w = 1
-    lr.queues[0] = 30.0
+    lr.queues = [30.0, 20.0]
     assert lr.target_rates()[0] == 0.0                  # Q/v = 1.5 >= w
 
 
@@ -121,7 +136,7 @@ def test_public_target_and_queue_calls_are_warning_safe():
         lr = make_learner(alphas=alphas, cap=0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lr.queues[:] = [0.0, 5e-324]
+            lr.queues = [0.0, 5e-324]
             assert lr.target_rates()[1] == pytest.approx(0.9)
             lr.update_queues(0, 1.0, 0.5)
         assert lr.queues[1] == pytest.approx(0.9)
@@ -151,7 +166,7 @@ def test_cold_start_covers_delay():
 
 def test_decide_dominant_group():
     lr = make_learner()
-    lr.queues[:] = [1.0, 1.0]
+    lr.queues = [1.0, 1.0]
     for n in range(1, 3):
         lr.update_queues(lr.decide()[0], 1.0, 0.5, np.zeros(2))
         # group 0 always finishes fast with high reward; group 1 never finishes
@@ -166,7 +181,7 @@ def test_decide_flips_to_starved_group():
     for n in range(1, 3):
         lr.update_queues(lr.decide()[0], 1.0, 0.5, np.zeros(2))
         feed(lr, n, [1.0, 2.0], [3.0, 1.0])
-    lr.queues[:] = [1.0, 50.0]  # group 1 has endured heavy unfairness
+    lr.queues = [1.0, 50.0]  # group 1 has endured heavy unfairness
     assert lr.decide()[0] == 1
 
 
@@ -186,7 +201,7 @@ def test_decision_scale_free_in_estimates():
             lr.update_queues(base[0], 1.0, 0.5, np.zeros(2))
             feed(lr, n, x * [factor, 1.0], rew * [factor, 1.0])
     for lr in (plain, scaled):
-        lr.queues[:] = [1.3, 0.9]
+        lr.queues = [1.3, 0.9]
     assert scaled.decide() == plain.decide()
     busy, reward = plain.estimates()
     busy8, reward8 = scaled.estimates()
@@ -211,7 +226,7 @@ def test_greedy_mode_for_all_linear_utilities():
     for n in range(1, 3):
         lr.update_queues(lr.decide()[0], 1.0, 0.0, np.zeros(2))
         feed(lr, n, [1.0, 1.0], [1.0, 1.0])
-    lr.queues[:] = [100.0, 1.0]  # queues must not matter in greedy mode
+    lr.queues = [100.0, 1.0]  # queues must not matter in greedy mode
     assert lr.decide()[0] == 1   # weight 5 wins at equal empirical rates
 
 

@@ -184,6 +184,32 @@ def test_online_episode_enters_errstate_once_per_chunk(monkeypatch):
     assert 0 < len(entries) <= math.ceil(res.n_tasks / 256) + 2
 
 
+@pytest.mark.parametrize("alphas", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (2.0, 2.0), (0.5, 2.0), (0.0, 2.0)])
+def test_online_episode_numpy_calls_per_task(alphas, monkeypatch):
+    # the learner's per-task state is floats: only the power in the target
+    # formula (for alphas other than 0 and 1) and the returned target vector
+    # build numpy arrays per task; the rest is per 256-task chunk or per episode
+    calls = {"power": 0, "array": 0}
+
+    def counting(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np, "power", counting("power", np.power))
+    monkeypatch.setattr(np, "array", counting("array", np.array))
+    groups, deadlines = two_group_env()
+    utilities = [UtilitySpec(a, 1.0) for a in alphas]
+    policy = OnlinePolicy(LearnerParams(v=20.0))
+    res = run_episode(groups, deadlines, utilities, policy, 2000.0, seed=4)
+    chunks = math.ceil(res.n_tasks / 256)
+    powered = any(a not in (0.0, 1.0) for a in alphas)
+    assert res.n_tasks >= 500
+    assert calls["power"] == (res.n_tasks if powered else 0)
+    assert calls["array"] <= (1 + powered) * res.n_tasks + 2 * chunks + 8
+
+
 def test_online_episode_sampling_overflow_still_warns():
     # Pareto(1, 0.01) draws overflow float64 in the inverse CDF (u ** -100
     # for u below ~1e-3.08); the engine's errstate must not hide that
