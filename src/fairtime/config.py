@@ -150,6 +150,11 @@ class _Checker:
             return None
         return x
 
+    def numbers(self, obj: list, path: str, **constraints) -> list[float] | None:
+        """``number`` on every element of the list ``obj``; None if any is bad."""
+        values = [self.number(x, f"{path}[{i}]", **constraints) for i, x in enumerate(obj)]
+        return None if None in values else values
+
     def integer(self, obj, path, *, minimum=None) -> int | None:
         if not isinstance(obj, int) or isinstance(obj, bool):
             self.fail(path, f"expected an integer, got {type(obj).__name__}")
@@ -214,13 +219,8 @@ def _parse_completion(chk, obj, path):
         if not isinstance(samples, list) or not samples:
             chk.fail(f"{path}.empirical.samples", "expected a non-empty list of numbers")
             return None
-        values = []
-        for i, s in enumerate(samples):
-            x = chk.number(s, f"{path}.empirical.samples[{i}]", exclusive_min=0.0)
-            if x is None:
-                return None
-            values.append(x)
-        return Empirical(tuple(values))
+        values = chk.numbers(samples, f"{path}.empirical.samples", exclusive_min=0.0)
+        return Empirical(tuple(values)) if values is not None else None
     parsed = _parse_variant(chk, obj, path, _COMPLETION_FIELDS, _COMPLETION_TYPES,
                             extra_variants=("empirical",))
     return parsed[1] if parsed else None
@@ -288,25 +288,18 @@ def _parse_policy(chk, obj, path, n_groups, deadline_values):
         if not isinstance(dls, list) or len(dls) != n_groups:
             chk.fail(f"{path}.srp.deadlines", f"expected a list of {n_groups} deadlines")
             return None
-        probs = []
-        for i, p in enumerate(sel):
-            x = chk.number(p, f"{path}.srp.selection[{i}]", minimum=0.0)
-            if x is None:
-                return None
-            probs.append(x)
-        if abs(sum(probs) - 1.0) > 1e-9:
-            chk.fail(f"{path}.srp.selection", f"must sum to 1, got {sum(probs)}")
+        probs = chk.numbers(sel, f"{path}.srp.selection", minimum=0.0)
+        values = chk.numbers(dls, f"{path}.srp.deadlines", exclusive_min=0.0)
+        if probs is None or values is None:
             return None
-        values = []
-        for i, t in enumerate(dls):
-            x = chk.number(t, f"{path}.srp.deadlines[{i}]", exclusive_min=0.0)
-            if x is None:
-                return None
-            if deadline_values is not None and x not in deadline_values:
-                chk.fail(f"{path}.srp.deadlines[{i}]", f"{t} is not in the deadline set")
-                return None
-            values.append(x)
-        return SrpPolicySpec(selection=tuple(probs), deadlines=tuple(values))
+        ok = abs(sum(probs) - 1.0) <= 1e-9
+        if not ok:
+            chk.fail(f"{path}.srp.selection", f"must sum to 1, got {sum(probs)}")
+        for i, t in enumerate(values):
+            if deadline_values is not None and t not in deadline_values:
+                chk.fail(f"{path}.srp.deadlines[{i}]", f"{dls[i]} is not in the deadline set")
+                ok = False
+        return SrpPolicySpec(selection=tuple(probs), deadlines=tuple(values)) if ok else None
     chk.fail(path, 'expected "online", "oracle_srp" or {"srp": {...}}')
     return None
 
@@ -336,12 +329,9 @@ def _parse_experiment(chk, obj, n_groups, deadline_values):
         if not isinstance(grid_obj, list) or len(grid_obj) < 4:
             chk.fail("experiment.budget_grid", "expected a list of at least 4 budgets")
             return None
-        grid = []
-        for i, b in enumerate(grid_obj):
-            x = chk.number(b, f"experiment.budget_grid[{i}]", exclusive_min=0.0)
-            if x is None:
-                return None
-            grid.append(x)
+        grid = chk.numbers(grid_obj, "experiment.budget_grid", exclusive_min=0.0)
+        if grid is None:
+            return None
         if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
             chk.fail("experiment.budget_grid", "must be strictly increasing")
             return None
@@ -390,12 +380,9 @@ def load_config(data: dict) -> ExperimentConfig:
         if not isinstance(d, list) or not d:
             chk.fail("deadlines", "expected a non-empty list of numbers")
         else:
-            values = []
-            for i, t in enumerate(d):
-                x = chk.number(t, f"deadlines[{i}]", exclusive_min=0.0)
-                values.append(x if x is not None else 1.0)
+            values = chk.numbers(d, "deadlines", exclusive_min=0.0)
             try:
-                deadlines = DeadlineSet(tuple(values))
+                deadlines = DeadlineSet(tuple(values)) if values is not None else None
             except ValueError as exc:
                 chk.fail("deadlines", str(exc))
 

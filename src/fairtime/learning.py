@@ -34,6 +34,13 @@ numpy's vectorized ``pow`` (SVML on AVX-512 hosts) rounds differently from
 libm's ``**`` in a few percent of inputs, so when some alpha is neither 0
 nor 1 the raw targets still go through one ``np.power`` call per task.
 
+The dual update has one implementation, ``step``: it computes the targets
+of the current queues, updates the queues with them and returns the targets
+as a list of floats.  It enters no ``np.errstate`` of its own; the engine
+holds one per chunk of tasks, and the public wrappers ``update_queues`` and
+``target_rates`` (which returns the targets as a float64 array) each enter
+one per call.
+
 When every utility is linear (alpha = 0 across the board) the queue
 machinery buys nothing: the objective is a plain weighted sum of rates, so
 the learner greedily maximizes the empirical weighted rate w_k * rate(k, t)
@@ -222,6 +229,9 @@ class OnlineLearner:
             self._release(released)
         if task <= self.cold_start_tasks:
             return (task - 1) % self.n_groups, self._deadlines[-1]
+        if self._best is None:
+            raise ValueError(f"task {task} is past the cold start and needs the feedback of stage 1, "
+                             "which has not been ingested")
         multipliers = self._weights if self._greedy else self._queues
         # rounding is monotone and the multipliers are >= 0, so a group's best
         # score is its multiplier times its best rate: the first group with
@@ -253,56 +263,40 @@ class OnlineLearner:
         there is no fairness debt to track, so all targets are zero.
         """
         with np.errstate(divide="ignore", over="ignore"):
-            return self._targets()[1]
+            return np.array(self._targets())
 
-    def _targets(self) -> tuple[list[float], np.ndarray]:
-        """The target rates as floats and as a fresh float64 array."""
+    def _targets(self) -> list[float]:
+        """The target rates of the current queues, as floats."""
         if self._greedy:
-            return [0.0] * self.n_groups, np.zeros(self.n_groups)
+            return [0.0] * self.n_groups
         try:
             raw = list(map(truediv, self._wv, self._queues))
         except ZeroDivisionError:  # numpy's w v / 0 = inf
             raw = [wv / q if q else math.inf for wv, q in zip(self._wv, self._queues)]
-        powered = None
         if self._power:
-            powered = np.power(np.array(raw), self._inv_alpha)
-            raw = powered.tolist()
+            raw = np.power(np.array(raw), self._inv_alpha).tolist()
         targets = []
         for r, cap in zip(raw, self._caps):
             targets.append(r if r <= cap or r != r else cap)  # np.minimum(r, cap)
         for k in self._linear_groups:
             targets[k] = self._caps[k] * (self._queues[k] < self._wv[k])
-        # the powered array already holds the targets unless a cap or a linear group changed one
-        if powered is not None and targets == raw:
-            return targets, powered
-        return targets, np.array(targets)
+        return targets
 
-    def update_queues(
-        self,
-        chosen: int,
-        elapsed: float,
-        reward: float,
-        targets: np.ndarray | None = None,
-    ) -> None:
+    def update_queues(self, chosen: int, elapsed: float, reward: float) -> None:
         """Dual update after the chosen task ran for ``elapsed`` time and
         paid ``reward`` (zero if interrupted); advances the task counter."""
-        self.step(chosen, elapsed, reward, self.target_rates() if targets is None else targets)
+        with np.errstate(divide="ignore", over="ignore"):
+            self.step(chosen, elapsed, reward)
 
-    def step(self, chosen: int, elapsed: float, reward: float, targets=None) -> np.ndarray:
-        """The engine's fused step: ``update_queues`` with the pre-update queues' targets,
-        returned as a fresh float64 array.  It runs under the caller's errstate, ignoring
-        divide and overflow.  Explicit targets must be >= 0."""
+    def step(self, chosen: int, elapsed: float, reward: float) -> list[float]:
+        """The dual step: ``update_queues`` without its errstate, returning the
+        targets of the pre-update queues.  The engine calls it under one errstate
+        per chunk that ignores divide and overflow."""
         if elapsed < 0:
             raise ValueError(f"elapsed time must be >= 0, got {elapsed}")
         if reward < 0:
             raise ValueError(f"reward must be >= 0, got {reward}")
-        if targets is None:
-            targets, returned = self._targets()
-        else:
-            returned = np.array(targets, dtype=float)
-            if (returned < 0.0).any():
-                raise ValueError(f"targets must be >= 0, got {returned}")
-            targets = returned.tolist()
+        targets = self._targets()
         queues = []
         for q, target in zip(self._queues, targets):
             queues.append(q + target * elapsed)
@@ -311,4 +305,4 @@ class OnlineLearner:
         queues[chosen] = 0.0 if q < 0.0 else q
         self._queues = queues
         self.tasks_done += 1
-        return returned
+        return targets

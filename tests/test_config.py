@@ -199,6 +199,38 @@ def test_regret_experiment_grid_rules():
         assert path in error_paths(exc)
 
 
+def test_number_lists_report_every_bad_element():
+    data = base_config(deadlines=[1, "x", 3])
+    with pytest.raises(ConfigError) as exc:
+        load_config(data)
+    assert exc.value.errors == [("deadlines[1]", "expected a number, got str")]
+
+    grid = [100, "a", -1, 3200, 6400]
+    data = base_config(experiment={"kind": "regret", "budget_grid": grid, "trials": 5})
+    with pytest.raises(ConfigError) as exc:
+        load_config(data)
+    assert error_paths(exc) == ["experiment.budget_grid[1]", "experiment.budget_grid[2]"]
+
+    data = base_config()
+    data["groups"][0]["completion"] = {"empirical": {"samples": [0.5, 0, "y", 2.0]}}
+    with pytest.raises(ConfigError) as exc:
+        load_config(data)
+    assert error_paths(exc) == [
+        "groups[0].completion.empirical.samples[1]", "groups[0].completion.empirical.samples[2]"]
+
+    for srp, paths in [
+        ({"selection": [-0.5, True], "deadlines": [2.0, "z"]},
+         ["selection[0]", "selection[1]", "deadlines[1]"]),
+        ({"selection": [0.5, 0.4], "deadlines": [3.0, 5.0]},
+         ["selection", "deadlines[0]", "deadlines[1]"]),
+    ]:
+        policy = {"srp": srp}
+        data = base_config(experiment={"kind": "simulate", "policy": policy, "budget": 10, "trials": 2})
+        with pytest.raises(ConfigError) as exc:
+            load_config(data)
+        assert error_paths(exc) == [f"experiment.policy.srp.{p}" for p in paths]
+
+
 def test_parse_config_file_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ConfigError):

@@ -91,10 +91,10 @@ def test_decide_is_first_argmax_of_flattened_scores(case):
         utilities = [UtilitySpec(1.0, 1.0) for _ in range(k)]
     lr = OnlineLearner(utilities, DeadlineSet(menu), LearnerParams(v=1.0))
     lr.ingest_feedback(1, x, r)
-    # past the cold start with every stage released; zero time and targets
+    # past the cold start with every stage released; zero time and reward
     # leave the queues alone
     for _ in range(max(stages, k)):
-        lr.update_queues(0, 0.0, 0.0, np.zeros(k))
+        lr.update_queues(0, 0.0, 0.0)
     if not greedy:
         lr.queues = multipliers
     with np.errstate(all="ignore"):

@@ -1,13 +1,14 @@
-"""Property test of the learner's fused step.
+"""Property test of the learner's dual step.
 
 ``OnlineLearner.step`` computes the target rates of the pre-update queues,
-applies the dual update with them and returns them.  The reference below is
-the target formula and the dual update as separate functions, written out
-from ``target_rates``/``update_queues`` as they were before the fused step;
-the step, and the public calls, must match it bit for bit on K in 1..8,
-every alpha in {0, 0.5, 1, 2} and mixed alphas, queues at 0, the smallest
-subnormal, 1e-300 and 1e300, fixed and empirical caps, and the all-linear
-greedy mode.
+applies the dual update with them and returns them as a list of floats; it
+runs under the caller's errstate, while the public ``target_rates`` and
+``update_queues`` enter their own.  The reference below is the target
+formula and the dual update as separate numpy functions; the step's targets
+(as a float64 array) and queues, and the public calls, must match it bit
+for bit on K in 1..8, every alpha in {0, 0.5, 1, 2} and mixed alphas,
+queues at 0, the smallest subnormal, 1e-300 and 1e300, fixed and empirical
+caps, and the all-linear greedy mode.
 """
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_fused_step_matches_reference_bitwise(case):
     lr = OnlineLearner(utilities, DeadlineSet(GRID), LearnerParams(v=v, target_rate_cap=cap))
     # release one stage of feedback so an empirical cap comes from data
     lr.ingest_feedback(1, x, r)
-    lr.update_queues(0, 0.0, 0.0, np.zeros(len(alphas)))
+    lr.update_queues(0, 0.0, 0.0)
     lr.decide()
     caps = np.full(len(alphas), cap) if cap is not None else reference_empirical_caps(x, r)
     want_targets = reference_targets(alphas, weights, v, queues, caps)
@@ -85,11 +86,11 @@ def test_fused_step_matches_reference_bitwise(case):
     lr.queues = queues.copy()
     with np.errstate(divide="ignore", over="ignore"):
         targets = lr.step(chosen, elapsed, reward)
-        kept = targets.copy()
+        kept = list(targets)
         lr.step(chosen, elapsed, reward)
-    assert targets.tobytes() == want_targets.tobytes()
+    assert np.array(targets).tobytes() == want_targets.tobytes()
     # the returned targets are the caller's: a later step leaves them alone
-    assert targets.tobytes() == kept.tobytes()
+    assert np.array(targets).tobytes() == np.array(kept).tobytes()
 
     # the public calls, which enter their own errstate
     lr.queues = queues.copy()

@@ -35,19 +35,20 @@ def test_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_queue_update_arithmetic():
-    lr = make_learner()
+    lr = make_learner(cap=0.5)
     lr.queues = [1.0, 1.0]
+    assert lr.target_rates().tolist() == [0.5, 0.5]     # w v / Q = 20 is capped
     # group 0 chosen; group 1's queue only accrues target inflow
-    lr.update_queues(0, elapsed=2.0, reward=3.0, targets=np.array([0.5, 0.5]))
+    lr.update_queues(0, elapsed=2.0, reward=3.0)
     assert lr.queues[1] == pytest.approx(2.0)           # 1 + 0.5*2
     assert lr.queues[0] == pytest.approx(0.0)           # max(0, 1 + 1 - 3)
     assert lr.tasks_done == 1
 
 
 def test_queue_zero_fixed_point():
-    lr = make_learner()
+    lr = make_learner(alphas=(0.0, 0.0))                # all linear: every target is 0
     lr.queues = [0.0, 0.0]
-    lr.update_queues(1, elapsed=5.0, reward=0.0, targets=np.zeros(2))
+    lr.update_queues(1, elapsed=5.0, reward=0.0)
     assert lr.queues == pytest.approx([0.0, 0.0])
 
 
@@ -69,8 +70,8 @@ def test_queues_property_returns_a_copy_and_validates_assignment():
     for bad in ([1.0], [1.0, -1e-300], [1.0, float("nan")]):
         with pytest.raises(ValueError, match="queues must be"):
             lr.queues = bad
-    with pytest.raises(ValueError, match="targets must be"):
-        lr.update_queues(0, 1.0, 0.0, np.array([0.5, -0.5]))
+    with pytest.raises(ValueError, match="elapsed time must be"):
+        lr.update_queues(0, -1.0, 0.0)
     assert lr.queues.tolist() == [0.5, 2.0] and lr.tasks_done == 0
 
 
@@ -80,7 +81,7 @@ def test_queues_stay_nonnegative_under_random_updates():
     for _ in range(500):
         lr.update_queues(
             int(r.integers(2)), elapsed=float(r.exponential(2)),
-            reward=float(r.exponential(3)), targets=r.uniform(0, 1, 2),
+            reward=float(r.exponential(3)),
         )
         assert (lr.queues >= 0).all()
 
@@ -112,7 +113,7 @@ def test_target_rate_empirical_cap_and_fallback():
     lr.queues = [1e-9, 1e-9]
     # no samples released yet: fixed fallback cap
     assert lr.target_rates() == pytest.approx([FALLBACK_RATE_CAP] * 2)
-    lr.update_queues(0, 1.0, 0.0, np.zeros(2))
+    lr.update_queues(0, 0.0, 0.0)
     feed(lr, 1, [1.5, 3.0], [2.0, 1.5])
     lr.decide()  # releases the stage-1 vector
     # best empirical rate: group 0 completes by t=2 -> 2.0 / 1.5
@@ -150,7 +151,7 @@ def test_cold_start_round_robin_max_deadline():
     lr = make_learner(alphas=(1.0, 1.0, 1.0), delay=1)
     assert lr.cold_start_tasks == 3                     # max(delay, K)
     assert lr.decide() == (0, 4.0)
-    lr.update_queues(0, 1.0, 0.0, np.zeros(3))
+    lr.update_queues(0, 0.0, 0.0)
     feed(lr, 1, [1, 1, 1], [1, 1, 1])
     assert lr.decide() == (1, 4.0)
 
@@ -160,15 +161,26 @@ def test_cold_start_covers_delay():
     for n in range(1, 4):
         k, t = lr.decide()
         assert (k, t) == ((n - 1) % 2, 4.0)
-        lr.update_queues(k, 1.0, 0.0, np.zeros(2))
+        lr.update_queues(k, 0.0, 0.0)
         feed(lr, n, [1, 1], [1, 1])
+
+
+def test_decide_past_cold_start_without_feedback_names_the_stage():
+    lr = make_learner(delay=1)
+    for n in range(1, 3):                               # cold start: max(delay, K) = 2 tasks
+        assert lr.decide() == ((n - 1) % 2, 4.0)
+        lr.update_queues(0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="needs the feedback of stage 1"):
+        lr.decide()
+    feed(lr, 1, [1, 1], [1, 1])
+    assert lr.decide()[1] == 1.0
 
 
 def test_decide_dominant_group():
     lr = make_learner()
     lr.queues = [1.0, 1.0]
     for n in range(1, 3):
-        lr.update_queues(lr.decide()[0], 1.0, 0.5, np.zeros(2))
+        lr.update_queues(lr.decide()[0], 0.0, 0.5)
         # group 0 always finishes fast with high reward; group 1 never finishes
         feed(lr, n, [1.0, 9.0], [3.0, 1.0])
     k, t = lr.decide()
@@ -179,7 +191,7 @@ def test_decide_dominant_group():
 def test_decide_flips_to_starved_group():
     lr = make_learner()
     for n in range(1, 3):
-        lr.update_queues(lr.decide()[0], 1.0, 0.5, np.zeros(2))
+        lr.update_queues(lr.decide()[0], 0.0, 0.5)
         feed(lr, n, [1.0, 2.0], [3.0, 1.0])
     lr.queues = [1.0, 50.0]  # group 1 has endured heavy unfairness
     assert lr.decide()[0] == 1
@@ -198,7 +210,7 @@ def test_decision_scale_free_in_estimates():
         base = plain.decide()
         assert scaled.decide() == base
         for lr, factor in ((plain, 1.0), (scaled, 0.125)):
-            lr.update_queues(base[0], 1.0, 0.5, np.zeros(2))
+            lr.update_queues(base[0], 0.0, 0.5)
             feed(lr, n, x * [factor, 1.0], rew * [factor, 1.0])
     for lr in (plain, scaled):
         lr.queues = [1.3, 0.9]
@@ -224,7 +236,7 @@ def test_greedy_mode_for_all_linear_utilities():
     lr = make_learner(alphas=(0.0, 0.0), weights=[1.0, 5.0])
     assert lr.target_rates() == pytest.approx([0.0, 0.0])
     for n in range(1, 3):
-        lr.update_queues(lr.decide()[0], 1.0, 0.0, np.zeros(2))
+        lr.update_queues(lr.decide()[0], 0.0, 0.0)
         feed(lr, n, [1.0, 1.0], [1.0, 1.0])
     lr.queues = [100.0, 1.0]  # queues must not matter in greedy mode
     assert lr.decide()[0] == 1   # weight 5 wins at equal empirical rates
@@ -279,7 +291,7 @@ def test_block_feedback_matches_stage_by_stage():
             for n in range(40):
                 k, t = lr.decide()
                 targets = lr.target_rates()
-                lr.update_queues(k, min(x[k, n], t), rew[k, n] * (x[k, n] <= t), targets)
+                lr.update_queues(k, min(x[k, n], t), rew[k, n] * (x[k, n] <= t))
                 steps.append((k, t, targets.tobytes(), lr.queues.tobytes()))
             busy, reward = lr.estimates()
             runs.append((steps, busy.tobytes(), reward.tobytes(), lr.released_samples))
@@ -302,7 +314,7 @@ def test_infinite_completion_censored_like_a_huge_one():
             warnings.simplefilter("error")
             for _ in range(4):
                 lr.decide()
-                lr.update_queues(0, 1.0, 0.0, np.zeros(2))
+                lr.update_queues(0, 0.0, 0.0)
             busy, reward = lr.estimates()
         assert lr.released_samples == 3
         assert np.isfinite(busy).all() and np.isfinite(reward).all()
@@ -315,7 +327,7 @@ def test_release_schedule_matches_delay():
         for n in range(1, 8):
             lr.decide()
             assert lr.released_samples == max(0, n - delay)
-            lr.update_queues(0, 1.0, 0.0, np.zeros(2))
+            lr.update_queues(0, 0.0, 0.0)
             feed(lr, n, [1, 1], [1, 1])
             assert lr.released_samples == max(0, n - delay)
 
@@ -333,7 +345,7 @@ def test_incremental_sums_match_on_demand_estimates():
     xs, rs = [], []
     for n in range(1, 60):
         lr.decide()
-        lr.update_queues(0, 1.0, 0.0, np.zeros(2))
+        lr.update_queues(0, 0.0, 0.0)
         xs.append(r.uniform(0.2, 6, 2))
         rs.append(r.uniform(0, 2, 2))
         feed(lr, n, xs[-1], rs[-1])
@@ -356,7 +368,7 @@ def test_estimator_converges_to_closed_form_moment():
     x = 1.0 * (1.0 - r.random(10_000)) ** (-1.0 / 1.2)
     for n, xi in enumerate(x, start=1):
         lr.decide()
-        lr.update_queues(0, 1.0, 0.0, np.zeros(1))
+        lr.update_queues(0, 0.0, 0.0)
         feed(lr, n, [xi], [xi ** 0.6])
     lr.decide()
     clipped = np.minimum(x[: lr.released_samples], 5.0)

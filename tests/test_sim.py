@@ -187,8 +187,8 @@ def test_online_episode_enters_errstate_once_per_chunk(monkeypatch):
 @pytest.mark.parametrize("alphas", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (2.0, 2.0), (0.5, 2.0), (0.0, 2.0)])
 def test_online_episode_numpy_calls_per_task(alphas, monkeypatch):
     # the learner's per-task state is floats: only the power in the target
-    # formula (for alphas other than 0 and 1) and the returned target vector
-    # build numpy arrays per task; the rest is per 256-task chunk or per episode
+    # formula (for alphas other than 0 and 1) builds a numpy array per task;
+    # the rest is per 256-task chunk or per episode
     calls = {"power": 0, "array": 0}
 
     def counting(name, real):
@@ -207,7 +207,7 @@ def test_online_episode_numpy_calls_per_task(alphas, monkeypatch):
     powered = any(a not in (0.0, 1.0) for a in alphas)
     assert res.n_tasks >= 500
     assert calls["power"] == (res.n_tasks if powered else 0)
-    assert calls["array"] <= (1 + powered) * res.n_tasks + 2 * chunks + 8
+    assert calls["array"] <= powered * res.n_tasks + 2 * chunks + 8
 
 
 def test_online_episode_sampling_overflow_still_warns():
