@@ -388,8 +388,10 @@ def load_config(data: dict) -> ExperimentConfig:
 
     experiment = None
     if "experiment" in data and groups:
+        # the groups as written: one that failed to parse still has a slot
+        # in an explicit policy's lists
         experiment = _parse_experiment(
-            chk, data["experiment"], len(groups),
+            chk, data["experiment"], len(data["groups"]),
             deadlines.deadlines if deadlines else None,
         )
 

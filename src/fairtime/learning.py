@@ -220,18 +220,20 @@ class OnlineLearner:
         Cold start: round-robin over groups at the largest deadline.  After
         that, the queue-weighted empirical rate arg-max (utility weights
         replace the queues when all utilities are linear); ties break to the
-        smallest group index, then the smallest deadline.
+        smallest group index, then the smallest deadline.  Past the cold
+        start, a stage that is due but not yet ingested raises ValueError.
         """
         task = self.tasks_done + 1
         # usable when deciding task m: stages <= m - delay
-        released = min(task - self.params.delay, self._ingested)
+        due = task - self.params.delay
+        released = min(due, self._ingested)
         if released > self._released:
             self._release(released)
         if task <= self.cold_start_tasks:
             return (task - 1) % self.n_groups, self._deadlines[-1]
-        if self._best is None:
-            raise ValueError(f"task {task} is past the cold start and needs the feedback of stage 1, "
-                             "which has not been ingested")
+        if released < due:
+            raise ValueError(f"task {task} is past the cold start and needs the feedback of stage "
+                             f"{released + 1}, which has not been ingested")
         multipliers = self._weights if self._greedy else self._queues
         # rounding is monotone and the multipliers are >= 0, so a group's best
         # score is its multiplier times its best rate: the first group with

@@ -14,6 +14,14 @@ draws selections from substream ``(seed, K)``.  Stage n of
 every group's stream is that group's latent task-n sample, so the sample
 matrix is independent of the policy's choices; the online engine draws it
 256 stages at a time and hands each chunk to the learner whole.
+
+The randomized-policy engine draws stages in 512-stage blocks, one call per
+group per block in block order, and does the arithmetic (selection, gather,
+censoring, first passage and totals) once per round of blocks.  A round
+holds enough blocks for the remaining budget at the policy's expected time
+per task, at most ``_ROUND_BLOCKS``.  Running and per-group totals keep the
+rounding of block-by-block sums, and the stages past the crossing task are
+discarded, so the round size changes no bit of a result.
 """
 
 from __future__ import annotations
@@ -23,12 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DeadlineSet, GroupModel, base_rewards, sample_completions
+from .distributions import DeadlineSet, GroupModel, base_rewards, sample_completions, truncated_mean_time
 from .learning import LearnerParams, OnlineLearner
 from .offline import OfflineSolution, solve
 from .utility import RATE_FLOOR, UtilitySpec, marginal, total_utility
 
-_BLOCK = 512  # vectorized draw granularity for randomized policies
+_BLOCK = 512  # stages each group draws per call under a randomized policy
+_ROUND_BLOCKS = 16  # most blocks one SRP round holds, so its arrays stay small
 _CHUNK = 256  # stages the online engine draws and hands to the learner at once
 
 
@@ -125,14 +134,12 @@ def _policy_stream(seed: int, n_groups: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n_groups,)))
 
 
-def _draw_stages(groups, rngs, n):
-    """(K, n) completions and base rewards: the next n stages of every group."""
-    x = np.empty((len(groups), n))
-    r = np.empty((len(groups), n))
+def _draw_stages(groups, rngs, x, r):
+    """Write the next n stages of every group into the (K, n) arrays x
+    (completions) and r (base rewards)."""
     for k, (g, rng) in enumerate(zip(groups, rngs)):
-        x[k] = sample_completions(g.completion, rng, n)
+        x[k] = sample_completions(g.completion, rng, x.shape[1])
         r[k] = base_rewards(g.reward, x[k], rng)
-    return x, r
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +203,55 @@ def run_episode(
     )
 
 
+def _srp_time_per_task(groups, policy) -> float:
+    """The policy's expected occupied time per task, sum_k p_k E[min(X_k, t_k)]."""
+    return sum(
+        p * truncated_mean_time(g.completion, t)
+        for g, p, t in zip(groups, policy.selection, policy.deadlines)
+    )
+
+
+def _round_blocks(remaining: float, per_task: float) -> int:
+    """Blocks in the next SRP round: enough to spend the remaining budget at
+    the expected time per task, at least 1 and at most ``_ROUND_BLOCKS``."""
+    blocks = remaining / (per_task * _BLOCK) if per_task > 0 else _ROUND_BLOCKS
+    return max(1, math.ceil(min(blocks, _ROUND_BLOCKS)))
+
+
+def _draw_chosen(groups, rngs, ks):
+    """Draw len(ks) stages of every group and return each stage's completion
+    and base reward in its chosen group ks.  The groups draw block by block:
+    one call for the whole round would give other numbers (buffered
+    integers, rewards drawn between completions)."""
+    K, n = len(groups), len(ks)
+    x = np.empty((K, n))
+    r = np.empty((K, n))
+    for j in range(0, n, _BLOCK):
+        _draw_stages(groups, rngs, x[:, j:j + _BLOCK], r[:, j:j + _BLOCK])
+    flat = ks * n
+    flat += np.arange(n)
+    return x.take(flat), r.take(flat)
+
+
+def _add_block_sums(totals, bins, weights):
+    """Add the weights to the (K,) totals one block after another, where bin
+    k + K * j is group k in block j: each block's sum starts from 0, as a
+    block-by-block bincount does, and the carry goes in as the first row of
+    one cumsum, since adding the blocks' sums first would round differently."""
+    K = len(totals)
+    blocks = bins[-1] // K + 1
+    sums = np.bincount(bins, weights=weights, minlength=blocks * K).reshape(blocks, K)
+    return np.cumsum(np.concatenate((totals[None], sums)), axis=0)[-1]
+
+
 def _run_srp(groups, deadlines, policy, budget, seed):
     K = len(groups)
     if len(policy.selection) != K:
         raise ValueError(f"policy has {len(policy.selection)} groups, environment has {K}")
     policy.matrix(deadlines)  # validates deadline membership
     t_assigned = np.asarray(policy.deadlines)
-    cum_sel = np.cumsum(policy.selection)
+    bounds = np.cumsum(policy.selection)[:-1, None]  # between groups k and k + 1
+    per_task = _srp_time_per_task(groups, policy)
     group_rngs = _group_streams(seed, K)
     choice_rng = _policy_stream(seed, K)
 
@@ -211,21 +260,34 @@ def _run_srp(groups, deadlines, policy, budget, seed):
     n_tasks = 0
     total = 0.0
     while True:
-        u = choice_rng.random(_BLOCK)
-        ks = np.minimum(np.searchsorted(cum_sel, u, side="right"), K - 1)
-        x, r = _draw_stages(groups, group_rngs, _BLOCK)
-        cols = np.arange(_BLOCK)
-        xk, rk, tk = x[ks, cols], r[ks, cols], t_assigned[ks]
+        nb = _round_blocks(budget - total, per_task)
+        n = nb * _BLOCK
+        # the choice stream draws one double per stage, so one draw for the
+        # round equals one per block.  A stage's group is the number of bounds
+        # at or below its draw u: searchsorted(cumsum(selection), u, "right")
+        # capped at K - 1
+        ks = (bounds <= choice_rng.random(n)).sum(axis=0)
+        xk, rk = _draw_chosen(groups, group_rngs, ks)
+        tk = t_assigned.take(ks)
         elapsed = np.minimum(xk, tk)
-        rewards = np.where(xk <= tk, rk, 0.0)
-        cums = total + np.cumsum(elapsed)
+        # running totals: each block adds its own cumsum to the total before
+        # it, since one cumsum across blocks would round differently
+        cums = np.cumsum(elapsed.reshape(nb, _BLOCK), axis=1)
+        start = total
+        for block in cums:
+            block += start
+            start = block[-1]
+        cums = cums.ravel()
         pos = int(np.searchsorted(cums, budget, side="right"))
-        take = pos + 1 if pos < _BLOCK else _BLOCK
-        time_tot += np.bincount(ks[:take], weights=elapsed[:take], minlength=K)
-        reward_tot += np.bincount(ks[:take], weights=rewards[:take], minlength=K)
+        take = pos + 1 if pos < n else n
+        rewards = np.where(xk[:take] <= tk[:take], rk[:take], 0.0)
+        bins = np.arange(take) // _BLOCK * K
+        bins += ks[:take]
+        time_tot = _add_block_sums(time_tot, bins, elapsed[:take])
+        reward_tot = _add_block_sums(reward_tot, bins, rewards)
         n_tasks += take
         total = cums[take - 1]
-        if pos < _BLOCK:
+        if pos < n:
             last = take - 1
             return time_tot, reward_tot, n_tasks, elapsed[last], int(ks[last]), rewards[last]
 
@@ -246,7 +308,8 @@ def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trac
         # the stages do not depend on the decisions, so the learner gets a
         # whole chunk at once; it still uses stage n only from task n + delay.
         # One errstate covers the chunk's tasks; a sampling overflow still warns
-        x_chunk, r_chunk = _draw_stages(groups, rngs, _CHUNK)
+        x_chunk, r_chunk = np.empty((K, _CHUNK)), np.empty((K, _CHUNK))
+        _draw_stages(groups, rngs, x_chunk, r_chunk)
         learner.ingest_feedback(n + 1, x_chunk, r_chunk)
         xs, rs = x_chunk.tolist(), r_chunk.tolist()
         with np.errstate(divide="ignore", over="ignore"):

@@ -23,6 +23,7 @@ from fairtime import (
     Pareto,
     PowerOfTime,
     ScaledUniform,
+    SrpPolicy,
     UtilitySpec,
     run_episode,
 )
@@ -67,6 +68,30 @@ def family_episode(k, alpha, delay, cap, seed, budget):
         [g for g, _ in FAMILY_GROUPS[:k]], DeadlineSet(DEADLINE_GRID), utilities, policy, budget, seed,
         truncate_last=seed == 1, collect_trace=seed == 0,
     )
+
+
+def srp_selection(kind: str, k: int) -> tuple[float, ...]:
+    """A uniform, a skewed, or a degenerate selection over k groups; the
+    degenerate one puts all mass on the last group, so every other group's
+    selection interval is empty."""
+    if kind == "uniform":
+        return (1.0 / k,) * k
+    if kind == "skewed":
+        w = [(i + 1) ** 2 for i in range(k)]
+        return tuple(x / sum(w) for x in w)
+    return (0.0,) * (k - 1) + (1.0,)
+
+
+def family_srp_episode(k, kind, truncate, seed, budget):
+    """One SRP episode on the first k FAMILY_GROUPS with their weights at
+    alpha 1, as the frozen SRP digests run it."""
+    groups = [g for g, _ in FAMILY_GROUPS[:k]]
+    utilities = [UtilitySpec(1.0, w) for _, w in FAMILY_GROUPS[:k]]
+    # deadlines 2, 7, 1.5, 5, 20, 4, 15, 3: spread over the menu, below and
+    # above each family's typical completion
+    deadlines = tuple(DEADLINE_GRID[(4 * i + 1) % len(DEADLINE_GRID)] for i in range(k))
+    policy = SrpPolicy(selection=srp_selection(kind, k), deadlines=deadlines)
+    return run_episode(groups, DeadlineSet(DEADLINE_GRID), utilities, policy, budget, seed, truncate_last=truncate)
 
 
 def episode_digest(res) -> str:

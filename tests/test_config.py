@@ -181,6 +181,20 @@ def test_srp_policy_validation():
         assert path in error_paths(exc)
 
 
+def test_bad_group_leaves_explicit_policy_lengths_valid():
+    # the policy lists are checked against the groups as written, so a group
+    # that fails to parse reports only its own errors
+    data = base_config(experiment={
+        "kind": "simulate", "budget": 10, "trials": 2,
+        "policy": {"srp": {"selection": [0.5, 0.5], "deadlines": [2.0, 4.0]}},
+    })
+    data["groups"][0]["completion"] = {"empirical": {"samples": [0.5, 0, "y", 2.0]}}
+    with pytest.raises(ConfigError) as exc:
+        load_config(data)
+    assert error_paths(exc) == [
+        "groups[0].completion.empirical.samples[1]", "groups[0].completion.empirical.samples[2]"]
+
+
 def test_regret_experiment_grid_rules():
     data = base_config(
         experiment={"kind": "regret", "budget_grid": [100, 200, 800, 3200], "trials": 5}

@@ -89,7 +89,10 @@ def test_decide_is_first_argmax_of_flattened_scores(case):
         utilities = [UtilitySpec(0.0, w) for w in multipliers]
     else:
         utilities = [UtilitySpec(1.0, 1.0) for _ in range(k)]
-    lr = OnlineLearner(utilities, DeadlineSet(menu), LearnerParams(v=1.0))
+    # the delay makes the first task past the cold start, max(delay, k) + 1,
+    # use exactly the given stages
+    delay = max(1, k - stages + 1)
+    lr = OnlineLearner(utilities, DeadlineSet(menu), LearnerParams(v=1.0, delay=delay))
     lr.ingest_feedback(1, x, r)
     # past the cold start with every stage released; zero time and reward
     # leave the queues alone

@@ -172,8 +172,21 @@ def test_decide_past_cold_start_without_feedback_names_the_stage():
         lr.update_queues(0, 0.0, 0.0)
     with pytest.raises(ValueError, match="needs the feedback of stage 1"):
         lr.decide()
-    feed(lr, 1, [1, 1], [1, 1])
+    feed(lr, 1, [[1, 1], [1, 1]], [[1, 1], [1, 1]])            # task 3 uses stages 1-2
     assert lr.decide()[1] == 1.0
+
+
+def test_decide_with_lagging_feedback_names_the_missing_stage():
+    lr = make_learner(delay=1)
+    feed(lr, 1, [1, 1], [1, 1])
+    for n in range(10):
+        lr.step(n % 2, 1.0, 0.5)
+    # task 11 needs stages 1-10, and only stage 1 arrived
+    with pytest.raises(ValueError, match="needs the feedback of stage 2,"):
+        lr.decide()
+    feed(lr, 2, np.ones((2, 9)), np.ones((2, 9)))
+    assert lr.decide()[0] in (0, 1)
+    assert lr.released_samples == 10
 
 
 def test_decide_dominant_group():

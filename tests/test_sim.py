@@ -20,9 +20,10 @@ from fairtime import (
     monte_carlo,
     regret_curve,
     run_episode,
+    sim,
     solve,
 )
-from helpers import two_group_env, uniform_utilities
+from helpers import episode_digest, two_group_env, uniform_utilities
 
 
 def unit_env():
@@ -246,16 +247,23 @@ def test_online_episode_overflowing_power_reward_stays_finite():
 # Monte Carlo aggregation
 # ---------------------------------------------------------------------------
 
-def test_monte_carlo_matches_standalone_episodes():
+def test_monte_carlo_matches_standalone_episodes(monkeypatch):
     groups, deadlines = two_group_env()
     us = uniform_utilities(1.0)
-    policy = SrpPolicy((0.5, 0.5), (7.0, 4.0))
-    mc = monte_carlo(groups, deadlines, us, policy, 200.0, trials=3, base_seed=100)
-    rates = np.array([
-        run_episode(groups, deadlines, us, policy, 200.0, seed=100 + i).reward_rates
-        for i in range(3)
-    ])
-    assert mc.mean_reward_rates == pytest.approx(rates.mean(axis=0), rel=1e-15)
+    inside = []
+
+    def recorded(*args, **kwargs):
+        inside.append(run_episode(*args, **kwargs))
+        return inside[-1]
+
+    monkeypatch.setattr(sim, "run_episode", recorded)
+    for policy in (SrpPolicy((0.5, 0.5), (7.0, 4.0)), OnlinePolicy(LearnerParams(v=5.0, delay=2))):
+        inside.clear()
+        mc = monte_carlo(groups, deadlines, us, policy, 200.0, trials=3, base_seed=100)
+        alone = [run_episode(groups, deadlines, us, policy, 200.0, seed=100 + i) for i in range(3)]
+        assert [episode_digest(res) for res in inside] == [episode_digest(res) for res in alone]
+        rates = np.array([res.reward_rates for res in alone])
+        assert mc.mean_reward_rates.tobytes() == rates.mean(axis=0).tobytes()
 
 
 def test_monte_carlo_requires_two_trials():

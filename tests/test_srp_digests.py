@@ -22,23 +22,12 @@ from pathlib import Path
 
 import pytest
 
-from fairtime import DeadlineSet, SrpPolicy, UtilitySpec, run_episode
-from helpers import DEADLINE_GRID, FAMILY_GROUPS, episode_digest
+from helpers import episode_digest, family_srp_episode
 
 DATA = Path(__file__).parent / "data" / "srp_episode_digests.json"
 
-DEADLINES = DeadlineSet(DEADLINE_GRID)
 BUDGET = 4000.0
 BLOCK = 512
-
-
-def selection(kind: str, k: int) -> tuple[float, ...]:
-    if kind == "uniform":
-        return (1.0 / k,) * k
-    if kind == "skewed":
-        w = [(i + 1) ** 2 for i in range(k)]
-        return tuple(x / sum(w) for x in w)
-    return (0.0,) * (k - 1) + (1.0,)
 
 
 def cases():
@@ -54,13 +43,7 @@ def case_id(k, kind, truncate, seed) -> str:
 
 
 def episode(k, kind, truncate, seed):
-    groups = [g for g, _ in FAMILY_GROUPS[:k]]
-    utilities = [UtilitySpec(1.0, w) for _, w in FAMILY_GROUPS[:k]]
-    # deadlines 2, 7, 1.5, 5, 20, 4, 15, 3: spread over the menu, below and
-    # above each family's typical completion
-    deadlines = tuple(DEADLINE_GRID[(4 * i + 1) % len(DEADLINE_GRID)] for i in range(k))
-    policy = SrpPolicy(selection=selection(kind, k), deadlines=deadlines)
-    return run_episode(groups, DEADLINES, utilities, policy, BUDGET, seed, truncate_last=truncate)
+    return family_srp_episode(k, kind, truncate, seed, BUDGET)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
