@@ -204,6 +204,21 @@ def base_rewards(spec: RewardSpec, completions: np.ndarray, rng: np.random.Gener
     raise TypeError(f"unknown reward spec {spec!r}")
 
 
+def draws_concatenate(group: GroupModel) -> bool:
+    """Whether one ``sample_completions`` + ``base_rewards`` call for m + n
+    stages gives the same numbers, and leaves the stream in the same state,
+    as a call for m stages followed by one for n.
+
+    No sampler keeps a per-call buffer: ``random``, ``exponential`` and
+    ``uniform`` consume whole 64-bit words, and ``integers`` (Empirical) takes
+    32-bit half-words through the bit generator, which holds a spare half for
+    its next call.  So the calls concatenate unless both samplers draw: a
+    ScaledUniform reward drawn after drawn completions interleaves the two.
+    """
+    completions_draw = not isinstance(group.completion, Deterministic)
+    return not (completions_draw and isinstance(group.reward, ScaledUniform))
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------

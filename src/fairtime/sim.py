@@ -15,11 +15,13 @@ every group's stream is that group's latent task-n sample, so the sample
 matrix is independent of the policy's choices; the online engine draws it
 256 stages at a time and hands each chunk to the learner whole.
 
-The randomized-policy engine draws stages in 512-stage blocks, one call per
-group per block in block order, and does the arithmetic (selection, gather,
-censoring, first passage and totals) once per round of blocks.  A round
+The randomized-policy engine works in rounds of 512-stage blocks.  A round
 holds enough blocks for the remaining budget at the policy's expected time
-per task, at most ``_ROUND_BLOCKS``.  Running and per-group totals keep the
+per task, at most ``_ROUND_BLOCKS``.  A group draws its whole round in one
+call when its samplers' calls concatenate (``draws_concatenate``) and one
+call per block otherwise; either way its stream gives the numbers of one
+call per block.  The arithmetic (selection, gather, censoring, first passage
+and totals) runs once per round.  Running and per-group totals keep the
 rounding of block-by-block sums, and the stages past the crossing task are
 discarded, so the round size changes no bit of a result.
 """
@@ -31,7 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DeadlineSet, GroupModel, base_rewards, sample_completions, truncated_mean_time
+from .distributions import (
+    DeadlineSet,
+    GroupModel,
+    base_rewards,
+    draws_concatenate,
+    sample_completions,
+    truncated_mean_time,
+)
 from .learning import LearnerParams, OnlineLearner
 from .offline import OfflineSolution, solve
 from .utility import RATE_FLOOR, UtilitySpec, marginal, total_utility
@@ -71,15 +80,19 @@ class SrpPolicy:
             label="oracle_srp",
         )
 
+    def columns(self, deadlines: DeadlineSet) -> list[int]:
+        """Each group's deadline as its index in the deadline set."""
+        cols = []
+        for k, t in enumerate(self.deadlines):
+            if t not in deadlines.deadlines:
+                raise ValueError(f"policy deadline {t} for group {k} not in the deadline set")
+            cols.append(deadlines.deadlines.index(t))
+        return cols
+
     def matrix(self, deadlines: DeadlineSet) -> np.ndarray:
         """Distribution over groups x deadline-grid columns."""
-        grid = deadlines.as_array()
-        P = np.zeros((len(self.selection), len(grid)))
-        for k, (p, t) in enumerate(zip(self.selection, self.deadlines)):
-            cols = np.flatnonzero(grid == t)
-            if len(cols) == 0:
-                raise ValueError(f"policy deadline {t} for group {k} not in the deadline set")
-            P[k, cols[0]] = p
+        P = np.zeros((len(self.selection), len(deadlines)))
+        P[range(len(self.selection)), self.columns(deadlines)] = self.selection
         return P
 
 
@@ -134,12 +147,18 @@ def _policy_stream(seed: int, n_groups: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n_groups,)))
 
 
-def _draw_stages(groups, rngs, x, r):
+def _draw_stages(groups, rngs, x, r, block):
     """Write the next n stages of every group into the (K, n) arrays x
-    (completions) and r (base rewards)."""
+    (completions) and r (base rewards), as the group's stream gives them in
+    calls of ``block`` stages: one call for all n where its calls
+    concatenate, one call per block otherwise."""
+    n = x.shape[1]
     for k, (g, rng) in enumerate(zip(groups, rngs)):
-        x[k] = sample_completions(g.completion, rng, x.shape[1])
-        r[k] = base_rewards(g.reward, x[k], rng)
+        step = n if draws_concatenate(g) else block
+        for j in range(0, n, step):
+            xs = x[k, j:j + step]
+            xs[:] = sample_completions(g.completion, rng, xs.size)
+            r[k, j:j + step] = base_rewards(g.reward, xs, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -169,16 +188,18 @@ def run_episode(
         )
     else:
         raise TypeError(f"unknown policy {policy!r}")
-    time_tot, reward_tot, n_tasks, last_elapsed, last_group, last_reward = totals
+    time_tot, reward_tot, n_tasks, before, after, last_elapsed, last_group, last_reward = totals
+
+    # first-passage bracket on the engine's running totals: the crossing task
+    # pushed the total past the budget, and without it the total was at most
+    # the budget
+    if not (before <= budget < after):
+        raise RuntimeError(
+            f"first-passage bracket violated: running total {before!r} before "
+            f"the last task and {after!r} after it, budget {budget!r}"
+        )
 
     total_time = time_tot.sum()
-    # first-passage bracket: the crossing task pushed the total past the
-    # budget, and without it the total was at most the budget
-    if not (total_time > budget and total_time - last_elapsed <= budget):
-        raise RuntimeError(
-            f"first-passage bracket violated: total {total_time!r}, last task "
-            f"{last_elapsed!r}, budget {budget!r}"
-        )
 
     if truncate_last:
         time_tot = time_tot.copy()
@@ -220,14 +241,13 @@ def _round_blocks(remaining: float, per_task: float) -> int:
 
 def _draw_chosen(groups, rngs, ks):
     """Draw len(ks) stages of every group and return each stage's completion
-    and base reward in its chosen group ks.  The groups draw block by block:
-    one call for the whole round would give other numbers (buffered
-    integers, rewards drawn between completions)."""
+    and base reward in its chosen group ks.  A group draws the round in one
+    call where that equals one call per block, and block by block where
+    rewards are drawn between completions."""
     K, n = len(groups), len(ks)
     x = np.empty((K, n))
     r = np.empty((K, n))
-    for j in range(0, n, _BLOCK):
-        _draw_stages(groups, rngs, x[:, j:j + _BLOCK], r[:, j:j + _BLOCK])
+    _draw_stages(groups, rngs, x, r, _BLOCK)
     flat = ks * n
     flat += np.arange(n)
     return x.take(flat), r.take(flat)
@@ -248,7 +268,7 @@ def _run_srp(groups, deadlines, policy, budget, seed):
     K = len(groups)
     if len(policy.selection) != K:
         raise ValueError(f"policy has {len(policy.selection)} groups, environment has {K}")
-    policy.matrix(deadlines)  # validates deadline membership
+    policy.columns(deadlines)  # validates deadline membership
     t_assigned = np.asarray(policy.deadlines)
     bounds = np.cumsum(policy.selection)[:-1, None]  # between groups k and k + 1
     per_task = _srp_time_per_task(groups, policy)
@@ -286,10 +306,11 @@ def _run_srp(groups, deadlines, policy, budget, seed):
         time_tot = _add_block_sums(time_tot, bins, elapsed[:take])
         reward_tot = _add_block_sums(reward_tot, bins, rewards)
         n_tasks += take
+        before = cums[take - 2] if take > 1 else total
         total = cums[take - 1]
         if pos < n:
             last = take - 1
-            return time_tot, reward_tot, n_tasks, elapsed[last], int(ks[last]), rewards[last]
+            return time_tot, reward_tot, n_tasks, before, total, elapsed[last], int(ks[last]), rewards[last]
 
 
 def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trace):
@@ -309,7 +330,7 @@ def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trac
         # whole chunk at once; it still uses stage n only from task n + delay.
         # One errstate covers the chunk's tasks; a sampling overflow still warns
         x_chunk, r_chunk = np.empty((K, _CHUNK)), np.empty((K, _CHUNK))
-        _draw_stages(groups, rngs, x_chunk, r_chunk)
+        _draw_stages(groups, rngs, x_chunk, r_chunk, _CHUNK)
         learner.ingest_feedback(n + 1, x_chunk, r_chunk)
         xs, rs = x_chunk.tolist(), r_chunk.tolist()
         with np.errstate(divide="ignore", over="ignore"):
@@ -321,13 +342,14 @@ def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trac
                 targets = learner.step(k, elapsed, reward)
                 time_tot[k] += elapsed
                 reward_tot[k] += reward
+                before = total
                 total += elapsed
                 if trace is not None:
                     trace.append({"task": n, "group": k, "deadline": t, "elapsed": elapsed, "reward": reward,
                                   "queues": learner.queues, "targets": np.array(targets)})
                 if total > budget:
                     break
-    return (np.array(time_tot), np.array(reward_tot), n, elapsed, k, reward), trace
+    return (np.array(time_tot), np.array(reward_tot), n, before, total, elapsed, k, reward), trace
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ arithmetic from the closed forms
 for Pareto(scale s, shape g) completion and X**b rewards.
 """
 
+import argparse
 import hashlib
+import json
+import sys
 
 import numpy as np
 
@@ -175,3 +178,20 @@ def alpha_fair_optimum_reference(alpha, weights, rates):
         return float(np.sum(w * np.log(r * phi)))
     s = np.sum(w ** (1.0 / alpha) * r ** (1.0 / alpha - 1.0))
     return float(s ** alpha / (1.0 - alpha))
+
+
+def freeze(path, make_table) -> int:
+    """Write the digest table ``make_table()`` to ``path`` as a frozen test
+    oracle and return the exit status.  An existing file is kept unless the
+    command line has ``--force``, so a changed engine cannot re-freeze the
+    digests it is checked against by accident."""
+    parser = argparse.ArgumentParser(description=f"write {path.name} from the installed package")
+    parser.add_argument("--force", action="store_true", help="overwrite an existing file")
+    force = parser.parse_args().force
+    if path.exists() and not force:
+        print(f"{path} exists; pass --force to overwrite it", file=sys.stderr)
+        return 1
+    table = make_table()
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    return 0

@@ -114,6 +114,21 @@ def test_simulate_trace_written(tmp_path):
 
 
 
+@pytest.mark.parametrize("policy", ["online", {"srp": {"selection": [1.0], "deadlines": [1.0]}}], ids=["online", "srp"])
+def test_simulate_crossing_at_a_rounded_running_total(tmp_path, policy):
+    # every task takes 0.1: the third crosses budget 0.2, and the total
+    # without it, 0.30000000000000004 - 0.1, rounds above the budget
+    cfg = write_config(
+        tmp_path,
+        groups=[{"completion": {"deterministic": {"value": 0.1}}, "reward": {"constant": {"value": 1.0}}}],
+        deadlines=[1.0],
+        experiment={"kind": "simulate", "policy": policy, "budget": 0.2, "trials": 2},
+    )
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path)]) == 0
+    rows = read_rows(tmp_path / "summary.csv")
+    assert float(rows[1][9]) == 15.0  # 3 unit rewards over budget 0.2
+
+
 @pytest.mark.parametrize("policy", [
     "online",
     "oracle_srp",

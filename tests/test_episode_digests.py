@@ -15,8 +15,8 @@ stages, so the release index crosses a sample-chunk boundary.
 
 The digests in ``data/episode_digests.json`` were written by the engine that
 served one full-information stage at a time; any engine must reproduce them
-bit for bit.  ``python tests/test_episode_digests.py`` rewrites the file
-from the installed engine.
+bit for bit.  ``python tests/test_episode_digests.py --force`` rewrites the
+file from the installed engine; without ``--force`` it refuses to overwrite it.
 """
 
 import json
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import episode_digest, family_episode
+from helpers import episode_digest, family_episode, freeze
 
 DATA = Path(__file__).parent / "data" / "episode_digests.json"
 
@@ -67,7 +67,4 @@ def test_online_episodes_match_frozen_digests(delay):
 
 
 if __name__ == "__main__":
-    table = {case_id(*case): episode_digest(episode(*case)) for case in cases()}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+    sys.exit(freeze(DATA, lambda: {case_id(*case): episode_digest(episode(*case)) for case in cases()}))

@@ -9,8 +9,9 @@ and mixed alphas, feedback delay in {1, 3}, and empirical and fixed
 target-rate caps.  Seed 0 traces every task; seed 1 drops the crossing task.
 
 Episodes and digests come from ``helpers``, the same as the short episodes.
-``python tests/test_long_episode_digests.py`` rewrites
-``data/long_episode_digests.json`` from the installed engine.
+``python tests/test_long_episode_digests.py --force`` rewrites
+``data/long_episode_digests.json`` from the installed engine; without
+``--force`` it refuses to overwrite the file.
 """
 
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import episode_digest, family_episode
+from helpers import episode_digest, family_episode, freeze
 
 DATA = Path(__file__).parent / "data" / "long_episode_digests.json"
 
@@ -60,7 +61,4 @@ def test_long_online_episodes_match_frozen_digests(k):
 
 
 if __name__ == "__main__":
-    table = {case_id(*case): episode_digest(episode(*case)) for case in cases()}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+    sys.exit(freeze(DATA, lambda: {case_id(*case): episode_digest(episode(*case)) for case in cases()}))

@@ -19,8 +19,9 @@ The digests in ``data/offline_digests.json`` were written by the solver that
 scanned the deadline menu once per group outside the moment table and built
 its solution separately on the closed-form and the bisection paths.
 
-``python tests/test_offline_digests.py`` rewrites
-``data/offline_digests.json`` from the installed solver.
+``python tests/test_offline_digests.py --force`` rewrites
+``data/offline_digests.json`` from the installed solver; without ``--force``
+it refuses to overwrite the file.
 """
 
 import hashlib
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from fairtime import Constant, DeadlineSet, Deterministic, Exponential, GroupModel, UtilitySpec, solve
-from helpers import DEADLINE_GRID, FAMILY_GROUPS
+from helpers import DEADLINE_GRID, FAMILY_GROUPS, freeze
 
 DATA = Path(__file__).parent / "data" / "offline_digests.json"
 
@@ -102,7 +103,4 @@ def test_offline_solutions_match_frozen_digests():
 
 
 if __name__ == "__main__":
-    table = {case_id(*case): outcome_digest(*case) for case in cases()}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+    sys.exit(freeze(DATA, lambda: {case_id(*case): outcome_digest(*case) for case in cases()}))

@@ -116,12 +116,24 @@ def test_first_passage_bracket_on_random_episodes():
 ])
 def test_first_passage_bracket_violation_raises(monkeypatch, time_tot, last_elapsed):
     # an engine that breaks the stopping rule must fail loudly, also under
-    # python -O, which strips asserts
-    totals = (np.array([time_tot]), np.array([1.0]), 10, last_elapsed, 0, 1.0)
+    # python -O, which strips asserts; the running totals before and after
+    # the last task are exact here
+    totals = (np.array([time_tot]), np.array([1.0]), 10, time_tot - last_elapsed, time_tot, last_elapsed, 0, 1.0)
     monkeypatch.setattr("fairtime.sim._run_srp", lambda *args: totals)
     groups, dl, us = unit_env()
     with pytest.raises(RuntimeError, match="first-passage bracket"):
         run_episode(groups, dl, us, unit_policy(), 10.0, seed=0)
+
+
+@pytest.mark.parametrize("policy", [unit_policy(), OnlinePolicy(LearnerParams(v=20.0))], ids=["srp", "online"])
+def test_crossing_at_a_rounded_running_total_keeps_the_bracket(policy):
+    # running totals 0.1, 0.2, 0.30000000000000004: the third task crosses
+    # budget 0.2, and the total without it, 0.3... - 0.1, rounds above 0.2
+    groups = [GroupModel(Deterministic(0.1), Constant(1.0))]
+    res = run_episode(groups, DeadlineSet((1.0,)), [UtilitySpec(0.0)], policy, 0.2, seed=0)
+    assert res.n_tasks == 3
+    assert res.per_group_time[0] == 0.30000000000000004
+    assert res.per_group_time[0] - 0.1 > 0.2
 
 
 def test_online_trace_is_consistent_with_totals():
@@ -264,6 +276,24 @@ def test_monte_carlo_matches_standalone_episodes(monkeypatch):
         assert [episode_digest(res) for res in inside] == [episode_digest(res) for res in alone]
         rates = np.array([res.reward_rates for res in alone])
         assert mc.mean_reward_rates.tobytes() == rates.mean(axis=0).tobytes()
+
+
+def test_srp_monte_carlo_builds_no_selection_matrix(monkeypatch):
+    groups, deadlines = two_group_env()
+    us = uniform_utilities(1.0)
+    off_menu = SrpPolicy((0.5, 0.5), (7.0, 4.4))
+    with pytest.raises(ValueError) as from_matrix:
+        off_menu.matrix(deadlines)
+
+    def no_matrix(*args):
+        raise AssertionError("selection matrix built")
+
+    monkeypatch.setattr(SrpPolicy, "matrix", no_matrix)
+    mc = monte_carlo(groups, deadlines, us, SrpPolicy((0.5, 0.5), (7.0, 4.0)), 200.0, trials=3, base_seed=0)
+    assert mc.mean_tasks > 0
+    with pytest.raises(ValueError) as from_run:
+        monte_carlo(groups, deadlines, us, off_menu, 200.0, trials=3, base_seed=0)
+    assert str(from_run.value) == str(from_matrix.value) == "policy deadline 4.4 for group 1 not in the deadline set"
 
 
 def test_monte_carlo_requires_two_trials():

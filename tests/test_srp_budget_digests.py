@@ -9,8 +9,9 @@ time, one that ends inside the first block, and one that runs past the most
 blocks a round holds.  They were written by the engine that did the
 arithmetic block by block; the size of a round must not change a bit.
 
-``python tests/test_srp_budget_digests.py`` rewrites
-``data/srp_budget_digests.json`` from the installed engine.
+``python tests/test_srp_budget_digests.py --force`` rewrites
+``data/srp_budget_digests.json`` from the installed engine; without
+``--force`` it refuses to overwrite the file.
 """
 
 import json
@@ -24,14 +25,20 @@ from fairtime import (
     Constant,
     DeadlineSet,
     Deterministic,
+    Empirical,
+    Exponential,
     GroupModel,
+    Pareto,
+    PowerOfTime,
+    ScaledUniform,
     SrpPolicy,
     UtilitySpec,
     run_episode,
     sim,
     solve,
 )
-from helpers import episode_digest, family_srp_episode, two_group_env, uniform_utilities
+from fairtime.distributions import base_rewards, draws_concatenate, sample_completions
+from helpers import FAMILY_GROUPS, episode_digest, family_srp_episode, freeze, two_group_env, uniform_utilities
 
 DATA = Path(__file__).parent / "data" / "srp_budget_digests.json"
 
@@ -136,10 +143,8 @@ def test_crossing_follows_block_by_block_running_totals():
         running.append(running[-1][-1] + within)
     running = np.concatenate(running)
     across = np.cumsum(np.full(running.size, 0.1))
-    # stage m (0-based) is the last that fits; the bracket check needs the
-    # total without the crossing task m + 1 to stay within the budget
-    stages = [m for m in range(BLOCK, running.size - 1)
-              if across[m] > running[m] and running[m + 1] - 0.1 <= running[m]]
+    # stage m (0-based) is the last that fits
+    stages = [m for m in range(BLOCK, running.size - 1) if across[m] > running[m]]
     assert len(stages) > 10
     for m in stages[::len(stages) // 10]:
         res = run_episode(groups, DeadlineSet((1.0,)), [UtilitySpec(0.0)], policy, float(running[m]), 0)
@@ -155,8 +160,65 @@ def test_one_choice_draw_per_round_equals_one_per_block(blocks):
     assert whole.random() == by_block.random()
 
 
+COMPLETIONS = [Pareto(1.0, 1.2), Exponential(0.5), Deterministic(3.0), Empirical((0.5, 1.0, 2.0, 4.0, 8.0, 16.0))]
+REWARDS = [PowerOfTime(0.5), Constant(1.0), ScaledUniform(0.5, 1.5)]
+# a ScaledUniform reward is drawn after the completions of the same call
+INTERLEAVED = {(Pareto, ScaledUniform), (Exponential, ScaledUniform), (Empirical, ScaledUniform)}
+
+
+def draw_in_calls(group, sizes):
+    """The group's stages drawn from substream (7, 0) in calls of the given
+    sizes, and the stream's next integers and double."""
+    rng = sim._group_streams(7, 1)[0]
+    x, r = [], []
+    for size in sizes:
+        x.append(sample_completions(group.completion, rng, size))
+        r.append(base_rewards(group.reward, x[-1], rng))
+    return np.concatenate(x).tobytes(), np.concatenate(r).tobytes(), rng.integers(0, 6, 3).tobytes(), rng.random()
+
+
+@pytest.mark.parametrize("reward", REWARDS, ids=lambda spec: type(spec).__name__)
+@pytest.mark.parametrize("completion", COMPLETIONS, ids=lambda spec: type(spec).__name__)
+def test_one_call_per_round_equals_one_per_block_where_the_draws_concatenate(completion, reward):
+    group = GroupModel(completion, reward)
+    assert draws_concatenate(group) == ((type(completion), type(reward)) not in INTERLEAVED)
+    for blocks in (1, 3, 16):
+        same = draw_in_calls(group, [blocks * BLOCK]) == draw_in_calls(group, [BLOCK] * blocks)
+        assert same == (draws_concatenate(group) or blocks == 1)
+
+
+def test_empirical_draws_concatenate_at_odd_sizes():
+    # integers takes 32-bit half-words; after an odd count the spare half
+    # waits in the bit generator, so the next call starts with it.  Draws of
+    # 512 stages use whole words unless a draw is rejected (about 1e-9 each),
+    # so the frozen digests could not tell a per-call buffer apart
+    rng = sim._group_streams(7, 1)[0]
+    rng.integers(0, 6, 3)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    group = GroupModel(Empirical((0.5, 1.0, 2.0, 4.0, 8.0, 16.0)), PowerOfTime(0.5))
+    assert draw_in_calls(group, [7]) == draw_in_calls(group, [3, 4]) == draw_in_calls(group, [1, 1, 5])
+
+
+def test_srp_round_calls_each_sampler_once_unless_rewards_interleave(monkeypatch):
+    # a budget-1500 episode on the first 8 FAMILY_GROUPS runs one round of
+    # several blocks; only the two groups whose ScaledUniform rewards follow
+    # drawn completions draw block by block
+    groups = [g for g, _ in FAMILY_GROUPS]
+    per_block = {"pareto_uniform", "exp_uniform"}
+    calls = []
+
+    def counted(spec, rng, size):
+        calls.append((spec, size))
+        return sample_completions(spec, rng, size)
+
+    monkeypatch.setattr(sim, "sample_completions", counted)
+    rounds = count_rounds(monkeypatch)
+    family_srp_episode(8, "uniform", False, 0, 1500.0)
+    assert len(rounds) == 1 and rounds[0] > 1
+    expected = [(g.completion, rounds[0] * BLOCK) for g in groups if g.label not in per_block]
+    expected += [(g.completion, BLOCK) for g in groups if g.label in per_block] * rounds[0]
+    assert sorted(calls, key=repr) == sorted(expected, key=repr)
+
+
 if __name__ == "__main__":
-    table = {case_id(*case): episode_digest(episode(*case)) for case in cases()}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+    sys.exit(freeze(DATA, lambda: {case_id(*case): episode_digest(episode(*case)) for case in cases()}))

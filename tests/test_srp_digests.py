@@ -12,8 +12,9 @@ empty), one fixed deadline per group, and seeds 0-3.  Every budget runs past
 two 512-stage draw blocks, which the test asserts, so block boundaries and
 the shared per-group stage draws are pinned as well.
 
-``python tests/test_srp_digests.py`` rewrites ``data/srp_episode_digests.json``
-from the installed engine.
+``python tests/test_srp_digests.py --force`` rewrites
+``data/srp_episode_digests.json`` from the installed engine; without
+``--force`` it refuses to overwrite the file.
 """
 
 import json
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import episode_digest, family_srp_episode
+from helpers import episode_digest, family_srp_episode, freeze
 
 DATA = Path(__file__).parent / "data" / "srp_episode_digests.json"
 
@@ -62,8 +63,16 @@ def test_srp_episodes_match_frozen_digests(k):
     assert shortest > 2 * BLOCK
 
 
+def test_digest_writer_overwrites_only_with_force(tmp_path, monkeypatch):
+    path = tmp_path / "digests.json"
+    path.write_text("{}\n")
+    monkeypatch.setattr("sys.argv", ["writer"])
+    assert freeze(path, lambda: {"case": "digest"}) == 1
+    assert path.read_text() == "{}\n"
+    monkeypatch.setattr("sys.argv", ["writer", "--force"])
+    assert freeze(path, lambda: {"case": "digest"}) == 0
+    assert json.loads(path.read_text()) == {"case": "digest"}
+
+
 if __name__ == "__main__":
-    table = {case_id(*case): episode_digest(episode(*case)) for case in cases()}
-    DATA.parent.mkdir(exist_ok=True)
-    DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
-    sys.exit(0)
+    sys.exit(freeze(DATA, lambda: {case_id(*case): episode_digest(episode(*case)) for case in cases()}))
