@@ -19,13 +19,13 @@ import dataclasses
 import os
 import sys
 
+import numpy as np
+
 from .config import (
     ConfigError,
     ExperimentConfig,
-    OfflineExperiment,
     RegretExperiment,
     SimulateExperiment,
-    SrpPolicySpec,
     parse_config,
 )
 from .learning import LearnerParams
@@ -103,8 +103,8 @@ def _cmd_moments(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def _build_policy(cfg: ExperimentConfig, exp: SimulateExperiment, solution: OfflineSolution):
     """Returns (policy, v_for_csv); v applies only to the online learner."""
-    if isinstance(exp.policy, SrpPolicySpec):
-        return SrpPolicy(selection=exp.policy.selection, deadlines=exp.policy.deadlines), None
+    if isinstance(exp.policy, SrpPolicy):
+        return exp.policy, None
     if exp.policy == "oracle_srp":
         return SrpPolicy.from_solution(solution), None
     v = cfg.v
@@ -127,8 +127,8 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     alpha = cfg.utilities[0].alpha
     print(f"policy={policy.label} alpha={_fmt(alpha)} budget={_fmt(exp.budget)} "
           f"trials={exp.trials} mean tasks/episode={mc.mean_tasks:.1f}")
-    for k, label in enumerate(cfg.labels):
-        print(f"  {label}: time share {mc.mean_time_shares[k]:.4f} "
+    for k, g in enumerate(cfg.groups):
+        print(f"  {g.label}: time share {mc.mean_time_shares[k]:.4f} "
               f"(se {mc.se_time_shares[k]:.4f}), reward rate "
               f"{mc.mean_reward_rates[k]:.4f} (se {mc.se_reward_rates[k]:.4f})")
     print(f"utility(mean rates) = {mc.utility_of_mean_rates:.6f}, "
@@ -140,10 +140,10 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
 
     rows = [
         [policy.label, alpha, exp.budget, "" if v is None else v, exp.trials,
-         k + 1, cfg.labels[k], mc.mean_time_shares[k], mc.se_time_shares[k],
+         k + 1, g.label, mc.mean_time_shares[k], mc.se_time_shares[k],
          mc.mean_reward_rates[k], mc.se_reward_rates[k],
          mc.utility_of_mean_rates, mc.regret]
-        for k in range(len(cfg.groups))
+        for k, g in enumerate(cfg.groups)
     ]
     path = os.path.join(out_dir, "summary.csv")
     _write_csv(path, ["policy", "alpha", "budget", "v", "trials", "group", "label",
@@ -212,6 +212,16 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     return cfg
 
 
+# subcommand -> (handler, experiment type it needs, help); object admits any kind
+_COMMANDS = {
+    "offline": (_cmd_offline, object, "solve for the optimal stationary randomized policy"),
+    "simulate": (_cmd_simulate, SimulateExperiment,
+                 "Monte Carlo evaluation of the configured policy"),
+    "regret": (_cmd_regret, RegretExperiment, "learner regret across a budget grid"),
+    "moments": (_cmd_moments, object, "moment table over the deadline menu (debug)"),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="fairtime",
@@ -219,12 +229,7 @@ def main(argv: list[str] | None = None) -> int:
                     "online learning, and Monte Carlo evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("offline", "solve for the optimal stationary randomized policy"),
-        ("simulate", "Monte Carlo evaluation of the configured policy"),
-        ("regret", "learner regret across a budget grid"),
-        ("moments", "moment table over the deadline menu (debug)"),
-    ]:
+    for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON experiment config")
         p.add_argument("--out-dir", default=".", help="directory for CSV outputs")
@@ -248,31 +253,19 @@ def main(argv: list[str] | None = None) -> int:
             os.makedirs(args.out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError([("out_dir", str(exc))]) from exc
-
-        if args.command == "offline":
-            return _cmd_offline(cfg, args.out_dir)
-        if args.command == "moments":
-            return _cmd_moments(cfg, args.out_dir)
-        if args.command == "simulate":
-            if not isinstance(cfg.experiment, SimulateExperiment):
-                raise ConfigError(
-                    [("experiment.kind",
-                      f'subcommand "simulate" needs kind "simulate", got "{cfg.experiment.kind}"')]
-                )
-            return _cmd_simulate(cfg, args.out_dir)
-        if args.command == "regret":
-            if not isinstance(cfg.experiment, RegretExperiment):
-                raise ConfigError(
-                    [("experiment.kind",
-                      f'subcommand "regret" needs kind "regret", got "{cfg.experiment.kind}"')]
-                )
-            return _cmd_regret(cfg, args.out_dir)
-        raise AssertionError(f"unhandled command {args.command}")
+        handler, experiment_type, _ = _COMMANDS[args.command]
+        if not isinstance(cfg.experiment, experiment_type):
+            raise ConfigError([("experiment.kind", f'subcommand "{args.command}" needs kind '
+                                f'"{experiment_type.kind}", got "{cfg.experiment.kind}"')])
+        # a division by zero, overflow or invalid operation that numpy would
+        # only warn about is a numerical failure, not a result
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return handler(cfg, args.out_dir)
     except ConfigError as exc:
         for path, message in exc.errors:
             print(f"config error at {path or '<root>'}: {message}", file=sys.stderr)
         return 2
-    except (NumericalError, NoRewardError, ValueError) as exc:
+    except (NumericalError, NoRewardError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -26,12 +26,20 @@ Schema (version 1), all paths relative to the document root:
                        {"kind": "regret", "budget_grid": [...], "trials": >=2}
                      simulate policies: "online", "oracle_srp", or
                        {"srp": {"selection": [...], "deadlines": [...]}}
+                     with one probability and one menu deadline per group;
+                     budget_grid follows ``sim.check_budget_grid``
     v                optional float > 0; default for the online learner is
                      sqrt(budget / log(budget))
     feedback_delay   optional int >= 1 (default 1)
     target_rate_cap  optional float > 0 (default: empirical cap)
     truncate_last    optional bool (default false)
     trace            optional bool (default false)
+
+The document is parsed straight into the library's own types: each group is
+a ``GroupModel`` whose completion and reward are the variant's class, the
+menu a ``DeadlineSet``, the utilities ``UtilitySpec``s and an explicit policy
+a ``sim.SrpPolicy``.  A rule those types or ``sim`` enforce is checked by
+them, and their ``ValueError`` is reported at the field's path.
 
 Validation never stops at the first problem: every schema error is reported
 with its field path.
@@ -41,7 +49,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .distributions import (
@@ -55,6 +63,7 @@ from .distributions import (
     PowerOfTime,
     ScaledUniform,
 )
+from .sim import SrpPolicy, check_budget_grid
 from .utility import UtilitySpec
 
 SCHEMA_VERSION = 1
@@ -69,22 +78,13 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
-class SrpPolicySpec:
-    selection: tuple[float, ...]
-    deadlines: tuple[float, ...]
-
-
-PolicySpec = Union[str, SrpPolicySpec]  # "online" | "oracle_srp" | explicit SRP
-
-
-@dataclass(frozen=True)
 class OfflineExperiment:
     kind: str = "offline"
 
 
 @dataclass(frozen=True)
 class SimulateExperiment:
-    policy: PolicySpec
+    policy: str | SrpPolicy  # "online", "oracle_srp" or an explicit SRP
     budget: float
     trials: int
     kind: str = "simulate"
@@ -112,7 +112,6 @@ class ExperimentConfig:
     target_rate_cap: float | None = None
     truncate_last: bool = False
     trace: bool = False
-    labels: tuple[str, ...] = field(default=())
 
 
 class _Checker:
@@ -122,7 +121,17 @@ class _Checker:
     def fail(self, path: str, message: str) -> None:
         self.errors.append((path, message))
 
-    def require_keys(self, obj: dict, path: str, required: set[str], optional: set[str]) -> bool:
+    def build(self, make, path: str, *args, **kwargs):
+        """``make(*args, **kwargs)``, or None with its ValueError reported at ``path``."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            self.fail(path, str(exc))
+            return None
+
+    def require_keys(self, obj: dict, path: str, required: tuple[str, ...],
+                     optional: tuple[str, ...] = ()) -> bool:
+        """Missing keys in ``required``'s order, then unknown ones in ``obj``'s."""
         ok = True
         for key in required:
             if key not in obj:
@@ -150,8 +159,11 @@ class _Checker:
             return None
         return x
 
-    def numbers(self, obj: list, path: str, **constraints) -> list[float] | None:
-        """``number`` on every element of the list ``obj``; None if any is bad."""
+    def numbers(self, obj, path: str, **constraints) -> list[float] | None:
+        """``number`` on every element of the non-empty list ``obj``; None if any is bad."""
+        if not isinstance(obj, list) or not obj:
+            self.fail(path, "expected a non-empty list of numbers")
+            return None
         values = [self.number(x, f"{path}[{i}]", **constraints) for i, x in enumerate(obj)]
         return None if None in values else values
 
@@ -164,71 +176,56 @@ class _Checker:
             return None
         return obj
 
+    def boolean(self, obj, path) -> bool | None:
+        if not isinstance(obj, bool):
+            self.fail(path, f"expected a boolean, got {type(obj).__name__}")
+            return None
+        return obj
 
-_COMPLETION_FIELDS = {
-    "pareto": {"scale": dict(exclusive_min=0.0), "shape": dict(exclusive_min=0.0)},
-    "exponential": {"rate": dict(exclusive_min=0.0)},
-    "deterministic": {"value": dict(exclusive_min=0.0)},
+
+_POSITIVE = {"exclusive_min": 0.0}
+_NON_NEGATIVE = {"minimum": 0.0}
+# {variant: (type, {param: number constraints})}; constraints in a list mark a
+# list-valued parameter
+_VARIANTS = {
+    "completion": {
+        "pareto": (Pareto, {"scale": _POSITIVE, "shape": _POSITIVE}),
+        "exponential": (Exponential, {"rate": _POSITIVE}),
+        "deterministic": (Deterministic, {"value": _POSITIVE}),
+        "empirical": (Empirical, {"samples": [_POSITIVE]}),
+    },
+    "reward": {
+        "power_of_time": (PowerOfTime, {"exponent": _NON_NEGATIVE}),
+        "constant": (Constant, {"value": _NON_NEGATIVE}),
+        "scaled_uniform": (ScaledUniform, {"lo": _NON_NEGATIVE, "hi": _NON_NEGATIVE}),
+    },
 }
-_REWARD_FIELDS = {
-    "power_of_time": {"exponent": dict(minimum=0.0)},
-    "constant": {"value": dict(minimum=0.0)},
-    "scaled_uniform": {"lo": dict(minimum=0.0), "hi": dict(minimum=0.0)},
-}
-_COMPLETION_TYPES = {"pareto": Pareto, "exponential": Exponential, "deterministic": Deterministic}
-_REWARD_TYPES = {"power_of_time": PowerOfTime, "constant": Constant, "scaled_uniform": ScaledUniform}
 
 
-def _parse_variant(chk, obj, path, fields_by_variant, types_by_variant, extra_variants=()):
+def _parse_variant(chk, obj, path, variants):
     if not isinstance(obj, dict) or len(obj) != 1:
-        names = sorted(list(fields_by_variant) + list(extra_variants))
-        chk.fail(path, f"expected an object with exactly one of: {', '.join(names)}")
+        chk.fail(path, f"expected an object with exactly one of: {', '.join(sorted(variants))}")
         return None
     (variant, params), = obj.items()
-    if variant in extra_variants:
-        return variant, params
-    if variant not in fields_by_variant:
-        chk.fail(f"{path}.{variant}", "unknown variant")
+    path = f"{path}.{variant}"
+    if variant not in variants:
+        chk.fail(path, "unknown variant")
         return None
-    spec = fields_by_variant[variant]
+    make, spec = variants[variant]
     if not isinstance(params, dict):
-        chk.fail(f"{path}.{variant}", "expected an object of parameters")
+        chk.fail(path, "expected an object of parameters")
         return None
-    if not chk.require_keys(params, f"{path}.{variant}", set(spec), set()):
+    if not chk.require_keys(params, path, tuple(spec)):
         return None
     values = {}
     for name, constraints in spec.items():
-        x = chk.number(params[name], f"{path}.{variant}.{name}", **constraints)
-        if x is None:
-            return None
-        values[name] = x
-    try:
-        return variant, types_by_variant[variant](**values)
-    except ValueError as exc:
-        chk.fail(f"{path}.{variant}", str(exc))
+        if isinstance(constraints, list):
+            values[name] = chk.numbers(params[name], f"{path}.{name}", **constraints[0])
+        else:
+            values[name] = chk.number(params[name], f"{path}.{name}", **constraints)
+    if None in values.values():
         return None
-
-
-def _parse_completion(chk, obj, path):
-    if isinstance(obj, dict) and set(obj) == {"empirical"}:
-        params = obj["empirical"]
-        if not isinstance(params, dict) or set(params) != {"samples"}:
-            chk.fail(f"{path}.empirical", 'expected {"samples": [...]}')
-            return None
-        samples = params["samples"]
-        if not isinstance(samples, list) or not samples:
-            chk.fail(f"{path}.empirical.samples", "expected a non-empty list of numbers")
-            return None
-        values = chk.numbers(samples, f"{path}.empirical.samples", exclusive_min=0.0)
-        return Empirical(tuple(values)) if values is not None else None
-    parsed = _parse_variant(chk, obj, path, _COMPLETION_FIELDS, _COMPLETION_TYPES,
-                            extra_variants=("empirical",))
-    return parsed[1] if parsed else None
-
-
-def _parse_reward(chk, obj, path):
-    parsed = _parse_variant(chk, obj, path, _REWARD_FIELDS, _REWARD_TYPES)
-    return parsed[1] if parsed else None
+    return chk.build(make, path, **values)
 
 
 def _parse_groups(chk, obj, alpha):
@@ -241,25 +238,22 @@ def _parse_groups(chk, obj, alpha):
         if not isinstance(g, dict):
             chk.fail(path, "expected an object")
             continue
-        chk.require_keys(g, path, {"completion", "reward"}, {"label", "weight"})
+        chk.require_keys(g, path, ("completion", "reward"), ("label", "weight"))
         label = g.get("label", f"group{i + 1}")
         if not isinstance(label, str) or not label:
             chk.fail(f"{path}.label", "expected a non-empty string")
             label = f"group{i + 1}"
         weight = 1.0
         if "weight" in g:
-            w = chk.number(g["weight"], f"{path}.weight", exclusive_min=0.0)
-            weight = w if w is not None else 1.0
-        completion = _parse_completion(chk, g.get("completion"), f"{path}.completion") \
-            if "completion" in g else None
-        reward = _parse_reward(chk, g.get("reward"), f"{path}.reward") if "reward" in g else None
-        if completion is None or reward is None:
+            weight = chk.number(g["weight"], f"{path}.weight", exclusive_min=0.0) or 1.0
+        parts = {part: _parse_variant(chk, g[part], f"{path}.{part}", _VARIANTS[part])
+                 for part in _VARIANTS if part in g}
+        if len(parts) < 2 or None in parts.values():
             continue
-        try:
-            groups.append(GroupModel(completion=completion, reward=reward, label=label))
-        except ValueError as exc:
-            chk.fail(path, str(exc))
+        group = chk.build(GroupModel, path, label=label, **parts)
+        if group is None:
             continue
+        groups.append(group)
         if alpha is not None:
             utilities.append(UtilitySpec(alpha=alpha, weight=weight))
     labels = [g.label for g in groups]
@@ -268,7 +262,7 @@ def _parse_groups(chk, obj, alpha):
     return groups, utilities
 
 
-def _parse_policy(chk, obj, path, n_groups, deadline_values):
+def _parse_policy(chk, obj, path, n_groups, deadlines):
     if isinstance(obj, str):
         if obj not in ("online", "oracle_srp"):
             chk.fail(path, f'expected "online", "oracle_srp" or an srp object, got "{obj}"')
@@ -279,7 +273,7 @@ def _parse_policy(chk, obj, path, n_groups, deadline_values):
         if not isinstance(params, dict):
             chk.fail(f"{path}.srp", "expected an object")
             return None
-        if not chk.require_keys(params, f"{path}.srp", {"selection", "deadlines"}, set()):
+        if not chk.require_keys(params, f"{path}.srp", ("selection", "deadlines")):
             return None
         sel, dls = params["selection"], params["deadlines"]
         if not isinstance(sel, list) or len(sel) != n_groups:
@@ -292,58 +286,55 @@ def _parse_policy(chk, obj, path, n_groups, deadline_values):
         values = chk.numbers(dls, f"{path}.srp.deadlines", exclusive_min=0.0)
         if probs is None or values is None:
             return None
-        ok = abs(sum(probs) - 1.0) <= 1e-9
-        if not ok:
-            chk.fail(f"{path}.srp.selection", f"must sum to 1, got {sum(probs)}")
+        policy = chk.build(SrpPolicy, f"{path}.srp.selection", selection=probs, deadlines=values)
         for i, t in enumerate(values):
-            if deadline_values is not None and t not in deadline_values:
+            if deadlines is not None and t not in deadlines.deadlines:
                 chk.fail(f"{path}.srp.deadlines[{i}]", f"{dls[i]} is not in the deadline set")
-                ok = False
-        return SrpPolicySpec(selection=tuple(probs), deadlines=tuple(values)) if ok else None
+                policy = None
+        return policy
     chk.fail(path, 'expected "online", "oracle_srp" or {"srp": {...}}')
     return None
 
 
-def _parse_experiment(chk, obj, n_groups, deadline_values):
+def _parse_experiment(chk, obj, n_groups, deadlines):
     if not isinstance(obj, dict) or "kind" not in obj:
         chk.fail("experiment", 'expected an object with a "kind" field')
         return None
     kind = obj["kind"]
     if kind == "offline":
-        chk.require_keys(obj, "experiment", {"kind"}, set())
+        chk.require_keys(obj, "experiment", ("kind",))
         return OfflineExperiment()
     if kind == "simulate":
-        if not chk.require_keys(obj, "experiment", {"kind", "policy", "budget", "trials"}, set()):
+        if not chk.require_keys(obj, "experiment", ("kind", "policy", "budget", "trials")):
             return None
         budget = chk.number(obj["budget"], "experiment.budget", exclusive_min=0.0)
         trials = chk.integer(obj["trials"], "experiment.trials", minimum=2)
-        policy = _parse_policy(chk, obj["policy"], "experiment.policy", n_groups, deadline_values)
+        policy = _parse_policy(chk, obj["policy"], "experiment.policy", n_groups, deadlines)
         if budget is None or trials is None or policy is None:
             return None
         return SimulateExperiment(policy=policy, budget=budget, trials=trials)
     if kind == "regret":
-        if not chk.require_keys(obj, "experiment", {"kind", "budget_grid", "trials"}, set()):
+        if not chk.require_keys(obj, "experiment", ("kind", "budget_grid", "trials")):
             return None
-        grid_obj = obj["budget_grid"]
         trials = chk.integer(obj["trials"], "experiment.trials", minimum=2)
-        if not isinstance(grid_obj, list) or len(grid_obj) < 4:
-            chk.fail("experiment.budget_grid", "expected a list of at least 4 budgets")
+        grid = chk.numbers(obj["budget_grid"], "experiment.budget_grid", exclusive_min=0.0)
+        if grid is not None:
+            grid = chk.build(check_budget_grid, "experiment.budget_grid", grid)
+        if grid is None or trials is None:
             return None
-        grid = chk.numbers(grid_obj, "experiment.budget_grid", exclusive_min=0.0)
-        if grid is None:
-            return None
-        if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
-            chk.fail("experiment.budget_grid", "must be strictly increasing")
-            return None
-        if grid[-1] / grid[0] < 10 ** 1.5:
-            chk.fail("experiment.budget_grid",
-                     "must span at least 1.5 decades for the slope fit")
-            return None
-        if trials is None:
-            return None
-        return RegretExperiment(budget_grid=tuple(grid), trials=trials)
+        return RegretExperiment(budget_grid=grid, trials=trials)
     chk.fail("experiment.kind", f'expected "offline", "simulate" or "regret", got {kind!r}')
     return None
+
+
+# top-level field -> (_Checker method, constraints); the defaults are ExperimentConfig's
+_OPTIONAL = {
+    "v": (_Checker.number, _POSITIVE),
+    "feedback_delay": (_Checker.integer, {"minimum": 1}),
+    "target_rate_cap": (_Checker.number, _POSITIVE),
+    "truncate_last": (_Checker.boolean, {}),
+    "trace": (_Checker.boolean, {}),
+}
 
 
 def load_config(data: dict) -> ExperimentConfig:
@@ -354,8 +345,8 @@ def load_config(data: dict) -> ExperimentConfig:
         raise ConfigError([("", "top level must be an object")])
     chk.require_keys(
         data, "",
-        {"schema_version", "seed", "groups", "deadlines", "utility", "experiment"},
-        {"v", "feedback_delay", "target_rate_cap", "truncate_last", "trace"},
+        ("schema_version", "seed", "groups", "deadlines", "utility", "experiment"),
+        tuple(_OPTIONAL),
     )
     if data.get("schema_version") != SCHEMA_VERSION:
         chk.fail("schema_version", f"must be {SCHEMA_VERSION}, got {data.get('schema_version')!r}")
@@ -376,40 +367,18 @@ def load_config(data: dict) -> ExperimentConfig:
 
     deadlines = None
     if "deadlines" in data:
-        d = data["deadlines"]
-        if not isinstance(d, list) or not d:
-            chk.fail("deadlines", "expected a non-empty list of numbers")
-        else:
-            values = chk.numbers(d, "deadlines", exclusive_min=0.0)
-            try:
-                deadlines = DeadlineSet(tuple(values)) if values is not None else None
-            except ValueError as exc:
-                chk.fail("deadlines", str(exc))
+        values = chk.numbers(data["deadlines"], "deadlines", exclusive_min=0.0)
+        if values is not None:
+            deadlines = chk.build(DeadlineSet, "deadlines", tuple(values))
 
     experiment = None
     if "experiment" in data and groups:
         # the groups as written: one that failed to parse still has a slot
         # in an explicit policy's lists
-        experiment = _parse_experiment(
-            chk, data["experiment"], len(data["groups"]),
-            deadlines.deadlines if deadlines else None,
-        )
+        experiment = _parse_experiment(chk, data["experiment"], len(data["groups"]), deadlines)
 
-    v = None
-    if "v" in data:
-        v = chk.number(data["v"], "v", exclusive_min=0.0)
-    delay = 1
-    if "feedback_delay" in data:
-        delay = chk.integer(data["feedback_delay"], "feedback_delay", minimum=1) or 1
-    cap = None
-    if "target_rate_cap" in data:
-        cap = chk.number(data["target_rate_cap"], "target_rate_cap", exclusive_min=0.0)
-    flags = {}
-    for name in ("truncate_last", "trace"):
-        flags[name] = data.get(name, False)
-        if not isinstance(flags[name], bool):
-            chk.fail(name, f"expected a boolean, got {type(flags[name]).__name__}")
-            flags[name] = False
+    knobs = {name: check(chk, data[name], name, **constraints)
+             for name, (check, constraints) in _OPTIONAL.items() if name in data}
 
     if chk.errors:
         raise ConfigError(chk.errors)
@@ -419,12 +388,7 @@ def load_config(data: dict) -> ExperimentConfig:
         utilities=tuple(utilities),
         experiment=experiment,
         seed=seed,
-        v=v,
-        feedback_delay=delay,
-        target_rate_cap=cap,
-        truncate_last=flags["truncate_last"],
-        trace=flags["trace"],
-        labels=tuple(g.label for g in groups),
+        **knobs,
     )
 
 

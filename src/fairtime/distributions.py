@@ -168,10 +168,6 @@ class DeadlineSet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.deadlines, dtype=float)
 
-    @property
-    def largest(self) -> float:
-        return self.deadlines[-1]
-
 
 # ---------------------------------------------------------------------------
 # sampling

@@ -66,7 +66,7 @@ class SrpPolicy:
     def __post_init__(self):
         sel = tuple(float(p) for p in self.selection)
         if any(p < 0 for p in sel) or abs(sum(sel) - 1.0) > 1e-9:
-            raise ValueError("selection must be a probability distribution over groups")
+            raise ValueError(f"selection must be a probability distribution over groups, got {sel}")
         if len(self.deadlines) != len(sel):
             raise ValueError("need one deadline per group")
         object.__setattr__(self, "selection", sel)
@@ -451,6 +451,20 @@ def default_v(budget: float) -> float:
     return math.sqrt(budget / math.log(budget))
 
 
+def check_budget_grid(budget_grid: list[float]) -> tuple[float, ...]:
+    """The grid as floats; raises ValueError unless it is strictly increasing
+    with at least 4 points spanning at least 1.5 decades, so the slope fit
+    has leverage."""
+    grid = tuple(float(b) for b in budget_grid)
+    if len(grid) < 4:
+        raise ValueError("budget grid needs at least 4 points")
+    if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
+        raise ValueError("budget grid must be strictly increasing")
+    if grid[-1] / grid[0] < 10 ** 1.5:
+        raise ValueError("budget grid must span at least 1.5 decades")
+    return grid
+
+
 def regret_curve(
     groups: list[GroupModel],
     deadlines: DeadlineSet,
@@ -466,18 +480,10 @@ def regret_curve(
 ) -> RegretCurve:
     """Estimate the learner's regret at each budget and fit a log-log slope.
 
-    The grid must be strictly increasing with at least 4 points spanning at
-    least 1.5 decades, so the slope fit has leverage.  Each point reuses the
-    same base seed (common random numbers across budgets).
+    The grid must pass ``check_budget_grid``.  Each point reuses the same base
+    seed (common random numbers across budgets).
     """
-    grid = [float(b) for b in budget_grid]
-    if len(grid) < 4:
-        raise ValueError("budget grid needs at least 4 points")
-    if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
-        raise ValueError("budget grid must be strictly increasing")
-    if grid[-1] / grid[0] < 10 ** 1.5:
-        raise ValueError("budget grid must span at least 1.5 decades")
-
+    grid = check_budget_grid(budget_grid)
     opt = solve(groups, deadlines, utilities).utility_rate
     points = []
     for b in grid:

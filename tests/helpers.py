@@ -180,6 +180,22 @@ def alpha_fair_optimum_reference(alpha, weights, rates):
     return float(s ** alpha / (1.0 - alpha))
 
 
+def numpy_host() -> str:
+    """numpy's version and the SIMD targets it dispatches to on this host, for
+    the digest tests' failure messages.  The frozen digests match numpy 2.4.6
+    dispatching to AVX-512; numpy's baseline loops for pow, exp and log round
+    differently, so on another numpy or below AVX-512 a mismatch may be a
+    host difference rather than an engine change."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (f"this host: numpy {np.__version__}, SIMD dispatch {dispatch}; the digests "
+            "match numpy 2.4.6, SIMD dispatch "
+            "['X86_V3', 'X86_V4', 'AVX512_ICL', 'AVX512_SPR']")
+
+
 def freeze(path, make_table) -> int:
     """Write the digest table ``make_table()`` to ``path`` as a frozen test
     oracle and return the exit status.  An existing file is kept unless the

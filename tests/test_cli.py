@@ -348,3 +348,13 @@ def test_overflowing_moment_exits_3_naming_group_and_deadline(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert "numerical failure" in err and "'huge'" in err and "deadline 1e+12" in err
     assert not (tmp_path / f"{command}.csv").exists()
+
+
+def test_floating_point_fault_exits_3(tmp_path, capsys):
+    # weights 300 decades apart at alpha 2: the lighter group's time share
+    # underflows to 0 and the solver's multiplier divides by it
+    groups = json.loads(Path(write_config(tmp_path)).read_text())["groups"]
+    groups[0]["weight"], groups[1]["weight"] = 1e-300, 1e300
+    cfg = write_config(tmp_path, groups=groups, utility={"alpha": 2.0})
+    assert main(["offline", cfg, "--out-dir", str(tmp_path)]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: divide by zero")

@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from fairtime import ConfigError, Pareto, PowerOfTime, load_config, parse_config
-from fairtime.config import RegretExperiment, SimulateExperiment, SrpPolicySpec
+from fairtime.config import RegretExperiment, SimulateExperiment
+from fairtime.sim import SrpPolicy
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -55,7 +56,7 @@ def test_bundled_config_reproduces_experiment_parameters():
 
 def test_minimal_valid_config():
     cfg = load_config(base_config())
-    assert cfg.labels == ("g1", "g2")
+    assert tuple(g.label for g in cfg.groups) == ("g1", "g2")
     assert [u.weight for u in cfg.utilities] == [1.0, 3.0]
     assert cfg.truncate_last is False and cfg.trace is False
     assert cfg.v is None
@@ -108,6 +109,10 @@ def test_multiple_errors_accumulate():
          "groups[0].reward.power_of_time.exponent"),
         (lambda d: d["groups"][0].update(reward={"nonsense": {}}),
          "groups[0].reward.nonsense"),
+        (lambda d: d["groups"][0].update(completion={"empirical": {}}),
+         "groups[0].completion.empirical.samples"),
+        (lambda d: d["groups"][0].update(completion={"empirical": {"samples": [1.0], "p": [1.0]}}),
+         "groups[0].completion.empirical.p"),
     ],
 )
 def test_single_field_errors(mutate, path):
@@ -116,6 +121,16 @@ def test_single_field_errors(mutate, path):
     with pytest.raises(ConfigError) as exc:
         load_config(data)
     assert path in error_paths(exc)
+
+
+def test_missing_fields_reported_in_schema_order():
+    # the same order in every process, whatever its string hash seed
+    with pytest.raises(ConfigError) as exc:
+        load_config({"schema_version": 1, "experiment": {"kind": "regret"}, "x": 1})
+    assert error_paths(exc) == ["seed", "groups", "deadlines", "utility", "x"]
+    with pytest.raises(ConfigError) as exc:
+        load_config(base_config(experiment={"kind": "simulate"}))
+    assert error_paths(exc) == ["experiment.policy", "experiment.budget", "experiment.trials"]
 
 
 def test_pareto_power_tail_conflict_reported_on_group():
@@ -162,7 +177,7 @@ def test_simulate_experiment_with_explicit_srp():
         }
     )
     cfg = load_config(data)
-    assert cfg.experiment.policy == SrpPolicySpec((0.25, 0.75), (2.0, 4.0))
+    assert cfg.experiment.policy == SrpPolicy((0.25, 0.75), (2.0, 4.0))
 
 
 def test_srp_policy_validation():

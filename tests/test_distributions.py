@@ -200,6 +200,17 @@ def test_expected_reward_empirical_power():
     assert expected_reward(g, 4.0) == pytest.approx((1.0 + math.sqrt(2.0)) / 3)
 
 
+@pytest.mark.parametrize("reward, mean", [(Constant(2.5), 2.5), (ScaledUniform(0.5, 3.0), 1.75)],
+                         ids=["constant", "scaled_uniform"])
+def test_expected_reward_empirical_independent_rewards(reward, mean):
+    # repeated samples, and deadlines below, at, between and past them
+    samples = (0.5, 2.0, 2.0, 3.5, 9.0)
+    g = GroupModel(Empirical(samples), reward)
+    for t in (0.25, 0.5, 1.0, 2.0, 3.0, 3.5, 9.0, 20.0):
+        direct = sum(mean for x in samples if x <= t) / len(samples)
+        assert expected_reward(g, t) == pytest.approx(direct, rel=1e-15, abs=0.0)
+
+
 def test_expected_reward_exponential_power_quadrature():
     # closed form via the incomplete gamma function as an independent oracle
     from scipy.special import gammainc, gamma

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import episode_digest, family_episode, freeze
+from helpers import episode_digest, family_episode, freeze, numpy_host
 
 DATA = Path(__file__).parent / "data" / "episode_digests.json"
 
@@ -60,7 +60,7 @@ def test_online_episodes_match_frozen_digests(delay):
         deepest = max(deepest, res.n_tasks - delay)
         if episode_digest(res) != frozen[case_id(*case)]:
             mismatched.append(case_id(*case))
-    assert mismatched == []
+    assert mismatched == [], numpy_host()
     if delay > 256:
         # some episode released more than one 256-stage chunk of samples
         assert deepest > 256

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from fairtime import Constant, DeadlineSet, Deterministic, Exponential, GroupModel, UtilitySpec, solve
-from helpers import DEADLINE_GRID, FAMILY_GROUPS, freeze
+from helpers import DEADLINE_GRID, FAMILY_GROUPS, freeze, numpy_host
 
 DATA = Path(__file__).parent / "data" / "offline_digests.json"
 
@@ -99,7 +99,7 @@ def test_offline_solutions_match_frozen_digests():
     assert sorted(frozen) == sorted(case_id(*case) for case in cases())
     mismatched = [case_id(*case) for case in cases()
                   if outcome_digest(*case) != frozen[case_id(*case)]]
-    assert mismatched == []
+    assert mismatched == [], numpy_host()
 
 
 if __name__ == "__main__":

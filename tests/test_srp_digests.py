@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import episode_digest, family_srp_episode, freeze
+from helpers import episode_digest, family_srp_episode, freeze, numpy_host
 
 DATA = Path(__file__).parent / "data" / "srp_episode_digests.json"
 
@@ -58,7 +58,7 @@ def test_srp_episodes_match_frozen_digests(k):
         shortest = res.n_tasks if shortest is None else min(shortest, res.n_tasks)
         if episode_digest(res) != frozen[case_id(*case)]:
             mismatched.append(case_id(*case))
-    assert mismatched == []
+    assert mismatched == [], numpy_host()
     # every episode drew past its second 512-stage block
     assert shortest > 2 * BLOCK
 
