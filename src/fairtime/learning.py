@@ -19,12 +19,13 @@ utility harder but lets queues, and hence transient unfairness, grow).
 
 Feedback is full-information and delayed: the (completion, base reward) pair
 of every group for task n only becomes usable when deciding task n + delay.
-The learner's sufficient statistics are running (group, deadline) sums of
-censored busy time and censored reward: all deadlines share the same sample
-set and no per-deadline exploration is needed.  These sums, and the rates
-reward_sums / busy_sums, never depend on the learner's decisions, so they
-are computed a block of stages at a time, with one cumulative sum, and each
-decision reads the row of the last released stage.
+It arrives as (K, C) blocks of stages.  The learner's sufficient statistics
+are running (group, deadline) sums of censored busy time and censored
+reward: all deadlines share the same sample set and no per-deadline
+exploration is needed.  These sums, and the rates reward_sums / busy_sums,
+never depend on the learner's decisions, so they are computed a block at a
+time: the carry is added into the block's first stage and one cumulative sum
+runs in place.  Each decision reads the row of the last released stage.
 
 The numpy work happens once per block.  The per-task state (queues, target
 caps, and the released stage's best rate, first best deadline and largest
@@ -130,15 +131,13 @@ class OnlineLearner:
         self._ingested = 0
         self._released = 0
         self._folded = 0
-        # running sums after stages _folded - C .. _folded of the last folded
-        # block (row 0 carries the earlier blocks); _fold adds the per-stage
-        # rates _rate_block and, as lists, their row maxima _best_rows, the
-        # first deadlines at them _arg_rows and the next lower rates _below_rows
+        # running sums after each stage of the last folded block (one row of
+        # zeros before the first); _fold adds the per-stage rates _rate_block
+        # and, as lists, their row maxima _best_rows, the first deadlines at
+        # them _arg_rows and the next lower rates _below_rows.  _row indexes
+        # the last released stage from the end of those blocks
         self._busy_sums = np.zeros((1, self.n_groups, len(self._deadlines)))
         self._reward_sums = np.zeros_like(self._busy_sums)
-        # _row indexes the last released stage from the end of those blocks;
-        # _best (None until the first release) holds its per-group best rate
-        self._best: list[float] | None = None
         cap = FALLBACK_RATE_CAP if params.target_rate_cap is None else params.target_rate_cap
         self._caps = [float(cap)] * self.n_groups
 
@@ -157,19 +156,16 @@ class OnlineLearner:
     # -- feedback ----------------------------------------------------------
 
     def ingest_feedback(self, stage: int, completions, base_rewards) -> None:
-        """Buffer every group's latent (completion, base reward) for task
-        ``stage`` as (K,) vectors, or for tasks stage .. stage + C - 1 as a
-        (K, C) block.  A stage is used once ``delay`` further tasks have been
-        decided; stages must arrive in order."""
+        """Buffer every group's latent (completion, base reward) for tasks
+        stage .. stage + C - 1 as a (K, C) block.  A stage is used once
+        ``delay`` further tasks have been decided; stages must arrive in
+        order."""
         if stage != self._ingested + 1:
             raise ValueError(f"feedback for stage {stage} out of order (expected {self._ingested + 1})")
         x = np.asarray(completions, dtype=float)
         r = np.asarray(base_rewards, dtype=float)
-        if x.ndim == 1 and r.ndim == 1:
-            x, r = x[:, None], r[:, None]
         if x.ndim != 2 or x.shape[0] != self.n_groups or x.shape[1] == 0 or r.shape != x.shape:
-            raise ValueError(
-                f"feedback must be ({self.n_groups},) vectors or equal ({self.n_groups}, C >= 1) blocks")
+            raise ValueError(f"feedback must be equal ({self.n_groups}, C >= 1) blocks")
         self._pending.append((x, r))
         self._ingested += x.shape[1]
 
@@ -177,11 +173,13 @@ class OnlineLearner:
         x = x.T[:, :, None]
         busy = np.minimum(x, self.deadline_grid)
         reward = np.where(x <= self.deadline_grid, r.T[:, :, None], 0.0)
-        # the carry goes in as the first row: cumsum(block) + carry would
+        # the carry goes into the first stage: cumsum(block) + carry would
         # round differently from adding the stages one at a time
-        self._busy_sums = np.cumsum(np.concatenate((self._busy_sums[-1:], busy)), axis=0)
-        self._reward_sums = np.cumsum(np.concatenate((self._reward_sums[-1:], reward)), axis=0)
-        rates = self._rate_block = self._reward_sums[1:] / self._busy_sums[1:]
+        busy[0] += self._busy_sums[-1]
+        reward[0] += self._reward_sums[-1]
+        self._busy_sums = np.cumsum(busy, axis=0, out=busy)
+        self._reward_sums = np.cumsum(reward, axis=0, out=reward)
+        rates = self._rate_block = reward / busy
         # per stage and group: the best rate, the first deadline at it, and
         # the largest rate below it (-inf if none); a chain of np.maximum over
         # the short deadline axis costs a third of .max(axis=2)
@@ -196,10 +194,9 @@ class OnlineLearner:
         while self._folded < released:
             self._fold(*self._pending.popleft())
         self._released = released
-        self._row = row = released - self._folded - 1
-        self._best = self._best_rows[row]
+        self._row = released - self._folded - 1
         if self.params.target_rate_cap is None:
-            self._caps = self._best
+            self._caps = self._best_rows[self._row]
 
     @property
     def released_samples(self) -> int:
@@ -239,7 +236,7 @@ class OnlineLearner:
         # score is its multiplier times its best rate: the first group with
         # the top product, at its first deadline scoring that product, is the
         # first arg-max of the flattened (group, deadline) score grid
-        products = list(map(mul, multipliers, self._best))
+        products = list(map(mul, multipliers, self._best_rows[self._row]))
         top = max(products)
         total = sum(products)
         if total - total == 0.0:

@@ -10,10 +10,14 @@ Reproducibility contract: episode ``i`` of a Monte Carlo run uses seed
 ``monte_carlo``, which runs its trials one after another in trial order in
 the calling thread.  Within an episode, group ``k`` draws its task stream
 from an independent substream keyed by ``(seed, k)``; the randomized policy
-draws selections from substream ``(seed, K)``.  Stage n of
-every group's stream is that group's latent task-n sample, so the sample
-matrix is independent of the policy's choices; the online engine draws it
-256 stages at a time and hands each chunk to the learner whole.
+draws selections from substream ``(seed, K)``.  Stage n of every group's
+stream is that group's latent task-n sample, so the sample matrix is
+independent of the policy's choices.  The online engine draws 256 stages at
+a time and hands each chunk to the learner whole; the randomized-policy
+engine draws in calls of 512.  Where rewards are drawn between completions
+(a ScaledUniform reward after Pareto, Exponential or Empirical completions)
+the call size shows in the numbers, so such a group's latent stages from
+stage 257 on differ between the two policies.
 
 The randomized-policy engine works in rounds of 512-stage blocks.  A round
 holds enough blocks for the remaining budget at the policy's expected time
@@ -45,7 +49,7 @@ from .learning import LearnerParams, OnlineLearner
 from .offline import OfflineSolution, solve
 from .utility import RATE_FLOOR, UtilitySpec, marginal, total_utility
 
-_BLOCK = 512  # stages each group draws per call under a randomized policy
+_BLOCK = 512  # most stages a group draws per call where its calls do not concatenate
 _ROUND_BLOCKS = 16  # most blocks one SRP round holds, so its arrays stay small
 _CHUNK = 256  # stages the online engine draws and hands to the learner at once
 
@@ -65,7 +69,7 @@ class SrpPolicy:
 
     def __post_init__(self):
         sel = tuple(float(p) for p in self.selection)
-        if any(p < 0 for p in sel) or abs(sum(sel) - 1.0) > 1e-9:
+        if any(not p >= 0 for p in sel) or not abs(sum(sel) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"selection must be a probability distribution over groups, got {sel}")
         if len(self.deadlines) != len(sel):
             raise ValueError("need one deadline per group")
@@ -134,31 +138,30 @@ class McSummary:
     mean_tasks: float
 
 
-def _group_streams(seed: int, n_groups: int) -> list[np.random.Generator]:
+def _streams(seed: int, n: int) -> list[np.random.Generator]:
+    """Independent substreams (seed, 0) .. (seed, n - 1)."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return [
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        for k in range(n_groups)
+        for k in range(n)
     ]
 
 
-def _policy_stream(seed: int, n_groups: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n_groups,)))
-
-
-def _draw_stages(groups, rngs, x, r, block):
-    """Write the next n stages of every group into the (K, n) arrays x
-    (completions) and r (base rewards), as the group's stream gives them in
-    calls of ``block`` stages: one call for all n where its calls
-    concatenate, one call per block otherwise."""
-    n = x.shape[1]
+def _draw_stages(groups, rngs, n):
+    """The next n stages of every group as (K, n) arrays of completions and
+    base rewards, as the group's stream gives them in calls of ``_BLOCK``
+    stages: one call for all n where its calls concatenate, one call per
+    block otherwise."""
+    x = np.empty((len(groups), n))
+    r = np.empty((len(groups), n))
     for k, (g, rng) in enumerate(zip(groups, rngs)):
-        step = n if draws_concatenate(g) else block
+        step = n if draws_concatenate(g) else _BLOCK
         for j in range(0, n, step):
             xs = x[k, j:j + step]
             xs[:] = sample_completions(g.completion, rng, xs.size)
             r[k, j:j + step] = base_rewards(g.reward, xs, rng)
+    return x, r
 
 
 # ---------------------------------------------------------------------------
@@ -239,29 +242,17 @@ def _round_blocks(remaining: float, per_task: float) -> int:
     return max(1, math.ceil(min(blocks, _ROUND_BLOCKS)))
 
 
-def _draw_chosen(groups, rngs, ks):
-    """Draw len(ks) stages of every group and return each stage's completion
-    and base reward in its chosen group ks.  A group draws the round in one
-    call where that equals one call per block, and block by block where
-    rewards are drawn between completions."""
-    K, n = len(groups), len(ks)
-    x = np.empty((K, n))
-    r = np.empty((K, n))
-    _draw_stages(groups, rngs, x, r, _BLOCK)
-    flat = ks * n
-    flat += np.arange(n)
-    return x.take(flat), r.take(flat)
-
-
 def _add_block_sums(totals, bins, weights):
     """Add the weights to the (K,) totals one block after another, where bin
     k + K * j is group k in block j: each block's sum starts from 0, as a
-    block-by-block bincount does, and the carry goes in as the first row of
-    one cumsum, since adding the blocks' sums first would round differently."""
+    block-by-block bincount does, and the carry is added to the first block's
+    sum before one cumsum, since adding the blocks' sums first would round
+    differently."""
     K = len(totals)
     blocks = bins[-1] // K + 1
     sums = np.bincount(bins, weights=weights, minlength=blocks * K).reshape(blocks, K)
-    return np.cumsum(np.concatenate((totals[None], sums)), axis=0)[-1]
+    sums[0] += totals
+    return np.cumsum(sums, axis=0, out=sums)[-1]
 
 
 def _run_srp(groups, deadlines, policy, budget, seed):
@@ -272,8 +263,7 @@ def _run_srp(groups, deadlines, policy, budget, seed):
     t_assigned = np.asarray(policy.deadlines)
     bounds = np.cumsum(policy.selection)[:-1, None]  # between groups k and k + 1
     per_task = _srp_time_per_task(groups, policy)
-    group_rngs = _group_streams(seed, K)
-    choice_rng = _policy_stream(seed, K)
+    *group_rngs, choice_rng = _streams(seed, K + 1)
 
     time_tot = np.zeros(K)
     reward_tot = np.zeros(K)
@@ -287,7 +277,10 @@ def _run_srp(groups, deadlines, policy, budget, seed):
         # at or below its draw u: searchsorted(cumsum(selection), u, "right")
         # capped at K - 1
         ks = (bounds <= choice_rng.random(n)).sum(axis=0)
-        xk, rk = _draw_chosen(groups, group_rngs, ks)
+        x, r = _draw_stages(groups, group_rngs, n)
+        flat = ks * n  # each stage's completion and base reward in its chosen group
+        flat += np.arange(n)
+        xk, rk = x.take(flat), r.take(flat)
         tk = t_assigned.take(ks)
         elapsed = np.minimum(xk, tk)
         # running totals: each block adds its own cumsum to the total before
@@ -317,7 +310,7 @@ def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trac
     K = len(groups)
     if len(utilities) != K:
         raise ValueError(f"{len(utilities)} utilities vs {K} groups")
-    rngs = _group_streams(seed, K)
+    rngs = _streams(seed, K)
     learner = OnlineLearner(utilities, deadlines, params)
 
     time_tot = [0.0] * K  # Python floats add with the bits of float64 elements
@@ -329,8 +322,7 @@ def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trac
         # the stages do not depend on the decisions, so the learner gets a
         # whole chunk at once; it still uses stage n only from task n + delay.
         # One errstate covers the chunk's tasks; a sampling overflow still warns
-        x_chunk, r_chunk = np.empty((K, _CHUNK)), np.empty((K, _CHUNK))
-        _draw_stages(groups, rngs, x_chunk, r_chunk, _CHUNK)
+        x_chunk, r_chunk = _draw_stages(groups, rngs, _CHUNK)
         learner.ingest_feedback(n + 1, x_chunk, r_chunk)
         xs, rs = x_chunk.tolist(), r_chunk.tolist()
         with np.errstate(divide="ignore", over="ignore"):
@@ -453,9 +445,11 @@ def default_v(budget: float) -> float:
 
 def check_budget_grid(budget_grid: list[float]) -> tuple[float, ...]:
     """The grid as floats; raises ValueError unless it is strictly increasing
-    with at least 4 points spanning at least 1.5 decades, so the slope fit
-    has leverage."""
+    with at least 4 positive, finite points spanning at least 1.5 decades, so
+    the slope fit has leverage."""
     grid = tuple(float(b) for b in budget_grid)
+    if not all(0 < b < math.inf for b in grid):
+        raise ValueError("budget grid values must be positive and finite")
     if len(grid) < 4:
         raise ValueError("budget grid needs at least 4 points")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):

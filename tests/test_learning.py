@@ -18,7 +18,9 @@ def make_learner(alphas=(1.0, 1.0), weights=None, v=20.0, delay=1, cap=None, gri
 
 
 def feed(learner, stage, xs, rs):
-    learner.ingest_feedback(stage, np.asarray(xs, float), np.asarray(rs, float))
+    """Ingest (K,) vectors as one stage, or (K, C) blocks as C stages."""
+    x, r = np.asarray(xs, float), np.asarray(rs, float)
+    learner.ingest_feedback(stage, x.reshape(len(x), -1), r.reshape(len(r), -1))
 
 
 def test_params_validation():
@@ -281,6 +283,7 @@ def test_feedback_blocks_rejected_out_of_order_or_misshapen():
         (np.ones((2, 0)), np.ones((2, 0))),    # empty block
         (np.ones((2, 4)), np.ones((2, 3))),    # mismatched columns
         (np.ones((2, 4)), np.ones(2)),         # block with a vector
+        (np.ones(2), np.ones(2)),              # (K,) vectors: one stage is a (K, 1) block
         (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
     ]:
         with pytest.raises(ValueError, match="feedback must be"):

@@ -89,6 +89,10 @@ def test_srp_selection_must_be_distribution():
         SrpPolicy((0.6, 0.6), (1.0, 1.0))
     with pytest.raises(ValueError):
         SrpPolicy((0.5, 0.5), (1.0,))
+    # NaN compares false either way, so it must fail the checks, not pass them
+    for selection in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)]:
+        with pytest.raises(ValueError, match="probability distribution"):
+            SrpPolicy(selection, (2.0, 4.0))
 
 
 def test_budget_validation():
@@ -357,6 +361,18 @@ def test_regret_curve_validates_grid():
         regret_curve(groups, deadlines, us, [100, 200, 200, 400], 5, 0)
     with pytest.raises(ValueError):
         regret_curve(groups, deadlines, us, [100, 200, 400, 800], 5, 0)  # 0.9 decades
+
+
+@pytest.mark.parametrize("grid", [
+    [0, 1, 10, 100],
+    [-100, -10, 1, 1000],
+    [1, 10, 100, math.nan],
+    [1, 10, 100, math.inf],
+    [math.nan, 1, 10, 100],
+])
+def test_budget_grid_rejects_nonpositive_and_nonfinite_budgets(grid):
+    with pytest.raises(ValueError, match="positive and finite"):
+        sim.check_budget_grid(grid)
 
 
 def test_single_arm_regret_is_budget_noise_only():
