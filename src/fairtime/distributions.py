@@ -9,11 +9,11 @@ The two moments that drive every policy in this package are therefore
     truncated mean time   E[min(X, t)]
     expected reward       E[base_reward * 1{X <= t}]
 
-Both are computed in closed form for every supported distribution family
-except Exponential completion paired with a power-of-time reward, which falls
-back to adaptive quadrature at absolute tolerance ``QUAD_ABS_TOL``: the
-in-tree QAGS port of ``quadrature``, which returns the same doubles as
-``scipy.integrate.quad`` without importing scipy.
+Each family's class holds its sampler and closed forms; the functions are
+the interface.  Both moments are closed forms except for Exponential
+completion with a power-of-time reward, which uses adaptive quadrature at
+absolute tolerance ``QUAD_ABS_TOL``: the in-tree QAGS port of ``quadrature``,
+which returns the same doubles as ``scipy.integrate.quad`` without scipy.
 """
 
 from __future__ import annotations
@@ -51,6 +51,34 @@ class Pareto:
         if not self.shape > 0:
             raise ValueError(f"Pareto shape must be > 0, got {self.shape}")
 
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        # inverse CDF on U in (0, 1]; 1 - random() avoids U = 0 -> inf
+        u = 1.0 - rng.random(size)
+        return self.scale * u ** (-1.0 / self.shape)
+
+    def _mean(self) -> float:
+        if self.shape <= 1:
+            return math.inf
+        return self.shape * self.scale / (self.shape - 1.0)
+
+    def _truncated_mean(self, t: float) -> float:
+        s, g = self.scale, self.shape
+        # below the support minimum every task is interrupted at t
+        if t <= s:
+            return float(t)
+        if g == 1.0:
+            return s + s * math.log(t / s)
+        return s + s ** g * (s ** (1.0 - g) - t ** (1.0 - g)) / (g - 1.0)
+
+    def _cdf(self, t: float) -> float:
+        return 0.0 if t <= self.scale else 1.0 - (self.scale / t) ** self.shape
+
+    def _power_moment(self, b: float, t: float) -> float:
+        s, g = self.scale, self.shape
+        if t <= s:
+            return 0.0
+        return g * s ** b / (g - b) * (1.0 - (t / s) ** (b - g))
+
 
 @dataclass(frozen=True)
 class Exponential:
@@ -60,6 +88,38 @@ class Exponential:
         if not self.rate > 0:
             raise ValueError(f"Exponential rate must be > 0, got {self.rate}")
 
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return rng.exponential(1.0 / self.rate, size)
+
+    def _mean(self) -> float:
+        return 1.0 / self.rate
+
+    def _truncated_mean(self, t: float) -> float:
+        return (1.0 - math.exp(-self.rate * t)) / self.rate
+
+    def _cdf(self, t: float) -> float:
+        return 1.0 - math.exp(-self.rate * t)
+
+    def _power_moment(self, b: float, t: float) -> float:
+        """QAGS on [0, min(t, EXP_UNDERFLOW / rate)], bit for bit what
+        ``scipy.integrate.quad`` returns; warns at ``expected_reward``'s caller
+        (stacklevel 4, through ``PowerOfTime._expected``) when QUADPACK's ier
+        says the tolerance may not be met."""
+        rate = self.rate
+        # exp(-rate x) is 0.0 past rate x = EXP_UNDERFLOW, and so is the
+        # integrand; over a much longer [0, t] the rule's nodes miss the mass
+        # near 0 and QUADPACK returns about 0 with ier 0
+        value, abserr, ier = qags(
+            lambda x: x ** b * rate * math.exp(-rate * x), 0.0, min(t, EXP_UNDERFLOW / rate), QUAD_ABS_TOL
+        )
+        if ier != 0:
+            warnings.warn(
+                f"QUADPACK ier={ier} for E[X**{b} 1{{X <= {t}}}] under Exponential({rate}): "
+                f"estimated error {abserr:.3g} may exceed the tolerance",
+                UserWarning, stacklevel=4,
+            )
+        return value
+
 
 @dataclass(frozen=True)
 class Deterministic:
@@ -68,6 +128,21 @@ class Deterministic:
     def __post_init__(self):
         if not self.value > 0:
             raise ValueError(f"Deterministic value must be > 0, got {self.value}")
+
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.full(size, self.value)
+
+    def _mean(self) -> float:
+        return self.value
+
+    def _truncated_mean(self, t: float) -> float:
+        return min(self.value, t)
+
+    def _cdf(self, t: float) -> float:
+        return 1.0 if self.value <= t else 0.0
+
+    def _power_moment(self, b: float, t: float) -> float:
+        return self.value ** b if self.value <= t else 0.0
 
 
 @dataclass(frozen=True)
@@ -82,6 +157,23 @@ class Empirical:
         if not all(x > 0 for x in self.samples):
             raise ValueError("Empirical samples must all be > 0")
         object.__setattr__(self, "samples", tuple(float(x) for x in self.samples))
+
+    def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        pool = np.asarray(self.samples)
+        return pool[rng.integers(0, len(pool), size)]
+
+    def _mean(self) -> float:
+        return float(np.mean(self.samples))
+
+    def _truncated_mean(self, t: float) -> float:
+        return float(np.mean(np.minimum(self.samples, t)))
+
+    def _cdf(self, t: float) -> float:
+        return float(np.mean(np.asarray(self.samples) <= t))
+
+    def _power_moment(self, b: float, t: float) -> float:
+        x = np.asarray(self.samples)
+        return float(np.mean(np.where(x <= t, x ** b, 0.0)))
 
 
 CompletionSpec = Union[Pareto, Exponential, Deterministic, Empirical]
@@ -101,6 +193,12 @@ class PowerOfTime:
         if not self.exponent >= 0:
             raise ValueError(f"PowerOfTime exponent must be >= 0, got {self.exponent}")
 
+    def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return completions ** self.exponent
+
+    def _expected(self, completion: CompletionSpec, t: float) -> float:
+        return completion._power_moment(self.exponent, t)
+
 
 @dataclass(frozen=True)
 class Constant:
@@ -109,6 +207,12 @@ class Constant:
     def __post_init__(self):
         if not self.value >= 0:
             raise ValueError(f"Constant reward must be >= 0, got {self.value}")
+
+    def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.full(completions.shape, self.value)
+
+    def _expected(self, completion: CompletionSpec, t: float) -> float:
+        return self.value * completion._cdf(t)
 
 
 @dataclass(frozen=True)
@@ -121,6 +225,12 @@ class ScaledUniform:
     def __post_init__(self):
         if not 0 <= self.lo <= self.hi:
             raise ValueError(f"ScaledUniform needs 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
+
+    def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(self.lo, self.hi, completions.shape)
+
+    def _expected(self, completion: CompletionSpec, t: float) -> float:
+        return 0.5 * (self.lo + self.hi) * completion._cdf(t)
 
 
 RewardSpec = Union[PowerOfTime, Constant, ScaledUniform]
@@ -170,34 +280,17 @@ class DeadlineSet:
 
 
 # ---------------------------------------------------------------------------
-# sampling
+# sampling and censored moments
 # ---------------------------------------------------------------------------
 
 def sample_completions(spec: CompletionSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` completion times, all strictly positive."""
-    if isinstance(spec, Pareto):
-        # inverse CDF on U in (0, 1]; 1 - random() avoids U = 0 -> inf
-        u = 1.0 - rng.random(size)
-        return spec.scale * u ** (-1.0 / spec.shape)
-    if isinstance(spec, Exponential):
-        return rng.exponential(1.0 / spec.rate, size)
-    if isinstance(spec, Deterministic):
-        return np.full(size, spec.value)
-    if isinstance(spec, Empirical):
-        pool = np.asarray(spec.samples)
-        return pool[rng.integers(0, len(pool), size)]
-    raise TypeError(f"unknown completion spec {spec!r}")
+    return spec._sample(rng, size)
 
 
 def base_rewards(spec: RewardSpec, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Latent (uncensored) base rewards paired with the given completion times."""
-    if isinstance(spec, PowerOfTime):
-        return completions ** spec.exponent
-    if isinstance(spec, Constant):
-        return np.full(completions.shape, spec.value)
-    if isinstance(spec, ScaledUniform):
-        return rng.uniform(spec.lo, spec.hi, completions.shape)
-    raise TypeError(f"unknown reward spec {spec!r}")
+    return spec._draw(completions, rng)
 
 
 def draws_concatenate(group: GroupModel) -> bool:
@@ -215,117 +308,22 @@ def draws_concatenate(group: GroupModel) -> bool:
     return not (completions_draw and isinstance(group.reward, ScaledUniform))
 
 
-# ---------------------------------------------------------------------------
-# moments
-# ---------------------------------------------------------------------------
-
 def mean_completion(spec: CompletionSpec) -> float:
     """E[X]; may be inf for heavy-tailed Pareto with shape <= 1."""
-    if isinstance(spec, Pareto):
-        if spec.shape <= 1:
-            return math.inf
-        return spec.shape * spec.scale / (spec.shape - 1.0)
-    if isinstance(spec, Exponential):
-        return 1.0 / spec.rate
-    if isinstance(spec, Deterministic):
-        return spec.value
-    if isinstance(spec, Empirical):
-        return float(np.mean(spec.samples))
-    raise TypeError(f"unknown completion spec {spec!r}")
+    return spec._mean()
 
 
 def truncated_mean_time(spec: CompletionSpec, t: float) -> float:
-    """E[min(X, t)] for deadline t > 0.
-
-    Pareto(s, g), t >= s:  s + s**g * (s**(1-g) - t**(1-g)) / (g-1), and
-    s + s*log(t/s) in the g = 1 limit; below the support minimum the task is
-    always interrupted, so the value is t itself.
-    """
+    """E[min(X, t)] for deadline t > 0."""
     if not t > 0:
         raise ValueError(f"deadline must be > 0, got {t}")
-    if isinstance(spec, Pareto):
-        s, g = spec.scale, spec.shape
-        if t <= s:
-            return float(t)
-        if g == 1.0:
-            return s + s * math.log(t / s)
-        return s + s ** g * (s ** (1.0 - g) - t ** (1.0 - g)) / (g - 1.0)
-    if isinstance(spec, Exponential):
-        return (1.0 - math.exp(-spec.rate * t)) / spec.rate
-    if isinstance(spec, Deterministic):
-        return min(spec.value, t)
-    if isinstance(spec, Empirical):
-        return float(np.mean(np.minimum(spec.samples, t)))
-    raise TypeError(f"unknown completion spec {spec!r}")
-
-
-def _mean_base_reward_independent(spec: RewardSpec) -> float:
-    """E[base reward] for reward models independent of the completion time."""
-    if isinstance(spec, Constant):
-        return spec.value
-    if isinstance(spec, ScaledUniform):
-        return 0.5 * (spec.lo + spec.hi)
-    raise TypeError(f"reward spec {spec!r} is coupled to the completion time")
-
-
-def _completion_cdf(spec: CompletionSpec, t: float) -> float:
-    if isinstance(spec, Pareto):
-        return 0.0 if t <= spec.scale else 1.0 - (spec.scale / t) ** spec.shape
-    if isinstance(spec, Exponential):
-        return 1.0 - math.exp(-spec.rate * t)
-    if isinstance(spec, Deterministic):
-        return 1.0 if spec.value <= t else 0.0
-    if isinstance(spec, Empirical):
-        return float(np.mean(np.asarray(spec.samples) <= t))
-    raise TypeError(f"unknown completion spec {spec!r}")
+    return spec._truncated_mean(t)
 
 
 def expected_reward(group: GroupModel, t: float) -> float:
-    """E[base_reward * 1{X <= t}], the mean reward collected under deadline t.
-
-    Pareto(s, g) with PowerOfTime(b), t >= s:
-        g * s**b / (g - b) * (1 - (t/s)**(b-g)),
-    zero below the support minimum.  Rewards independent of X reduce to
-    E[base reward] * P(X <= t).  Exponential completion with PowerOfTime uses
-    QAGS adaptive quadrature on [0, min(t, EXP_UNDERFLOW / rate)], past
-    which the integrand underflows to 0, at absolute tolerance QUAD_ABS_TOL,
-    bit for bit what ``scipy.integrate.quad`` returns, and warns (UserWarning)
-    when QUADPACK reports the tolerance may not be met.
-    """
+    """E[base_reward * 1{X <= t}], the mean reward collected under deadline t;
+    warns (UserWarning) when QUADPACK reports that the quadrature for
+    Exponential completion with X**b rewards may miss its tolerance."""
     if not t > 0:
         raise ValueError(f"deadline must be > 0, got {t}")
-    completion, reward = group.completion, group.reward
-
-    if isinstance(reward, (Constant, ScaledUniform)):
-        return _mean_base_reward_independent(reward) * _completion_cdf(completion, t)
-
-    # PowerOfTime from here on: base reward = X ** b.
-    b = reward.exponent
-    if isinstance(completion, Pareto):
-        s, g = completion.scale, completion.shape
-        if t <= s:
-            return 0.0
-        return g * s ** b / (g - b) * (1.0 - (t / s) ** (b - g))
-    if isinstance(completion, Deterministic):
-        v = completion.value
-        return v ** b if v <= t else 0.0
-    if isinstance(completion, Empirical):
-        x = np.asarray(completion.samples)
-        return float(np.mean(np.where(x <= t, x ** b, 0.0)))
-    if isinstance(completion, Exponential):
-        rate = completion.rate
-        # exp(-rate x) is 0.0 past rate x = EXP_UNDERFLOW, and so is the
-        # integrand; over a much longer [0, t] the rule's nodes miss the mass
-        # near 0 and QUADPACK returns about 0 with ier 0
-        value, abserr, ier = qags(
-            lambda x: x ** b * rate * math.exp(-rate * x), 0.0, min(t, EXP_UNDERFLOW / rate), QUAD_ABS_TOL
-        )
-        if ier != 0:
-            warnings.warn(
-                f"QUADPACK ier={ier} for E[X**{b} 1{{X <= {t}}}] under Exponential({rate}): "
-                f"estimated error {abserr:.3g} may exceed the tolerance",
-                UserWarning, stacklevel=2,
-            )
-        return value
-    raise TypeError(f"unknown completion spec {completion!r}")
-
+    return group.reward._expected(group.completion, t)

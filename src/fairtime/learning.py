@@ -87,7 +87,8 @@ class LearnerParams:
     def __post_init__(self):
         if not self.v > 0:
             raise ValueError(f"v must be > 0, got {self.v}")
-        if not (isinstance(self.delay, int) and self.delay >= 1):
+        # bool is an int subclass, but delay=True would silently run as 1
+        if not (isinstance(self.delay, int) and not isinstance(self.delay, bool) and self.delay >= 1):
             raise ValueError(f"delay must be an integer >= 1, got {self.delay}")
         if self.target_rate_cap is not None and not self.target_rate_cap > 0:
             raise ValueError(f"target_rate_cap must be > 0, got {self.target_rate_cap}")

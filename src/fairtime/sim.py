@@ -150,9 +150,9 @@ def _streams(seed: int, n: int) -> list[np.random.Generator]:
 
 def _draw_stages(groups, rngs, n):
     """The next n stages of every group as (K, n) arrays of completions and
-    base rewards, as the group's stream gives them in calls of ``_BLOCK``
-    stages: one call for all n where its calls concatenate, one call per
-    block otherwise."""
+    base rewards.  A group whose calls concatenate draws all n in one call;
+    any other group draws them in calls of ``_BLOCK`` stages, the last one
+    shorter, so the online engine's ``_CHUNK`` of 256 stages is one call."""
     x = np.empty((len(groups), n))
     r = np.empty((len(groups), n))
     for k, (g, rng) in enumerate(zip(groups, rngs)):
@@ -202,16 +202,12 @@ def run_episode(
             f"the last task and {after!r} after it, budget {budget!r}"
         )
 
-    total_time = time_tot.sum()
-
+    # both engines return arrays of their own, so the crossing task comes off in place
     if truncate_last:
-        time_tot = time_tot.copy()
-        reward_tot = reward_tot.copy()
         time_tot[last_group] -= last_elapsed
         reward_tot[last_group] -= last_reward
         n_tasks -= 1
-        total_time = time_tot.sum()
-
+    total_time = time_tot.sum()
     rates = reward_tot / budget
     shares = time_tot / total_time if total_time > 0 else np.zeros_like(time_tot)
     utility, floored = total_utility(utilities, rates)

@@ -235,11 +235,24 @@ def test_non_finite_numbers_exit_2_with_field_path(tmp_path, capsys, mutate, pat
     assert f"config error at {path}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+@pytest.mark.parametrize("flag, value", [
+    ("threads", "0"), ("threads", "-1"), ("seed", "-1"), ("trials", "1"),
+])
+def test_out_of_range_override_exits_2(tmp_path, capsys, flag, value):
     cfg = write_config(tmp_path)
-    assert main(["simulate", cfg, "--out-dir", str(tmp_path), "--threads", threads]) == 2
-    assert "config error at threads:" in capsys.readouterr().err
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path), f"--{flag}", value]) == 2
+    assert f"config error at {flag}:" in capsys.readouterr().err
+
+
+def test_simulate_notes_starved_groups(tmp_path, capsys):
+    # all mass on group 1: group 2 earns nothing in every episode, and the
+    # log utility is evaluated at the rate floor
+    cfg = write_config(tmp_path, experiment={
+        "kind": "simulate", "policy": {"srp": {"selection": [1.0, 0.0], "deadlines": [7, 4]}},
+        "budget": 50, "trials": 2,
+    })
+    assert main(["simulate", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert "note: 100.0% of episodes had a starved group" in capsys.readouterr().out
 
 
 OUTPUT_COMMANDS = {

@@ -132,11 +132,21 @@ def test_truncated_mean_pareto_log_shape_one():
     assert truncated_mean_time(Pareto(2.0, 1.0), 9.0) == pytest.approx(value, rel=1e-9)
 
 
-def test_truncated_mean_rejects_bad_deadline():
-    with pytest.raises(ValueError):
-        truncated_mean_time(Pareto(1.0, 1.2), 0.0)
-    with pytest.raises(ValueError):
-        truncated_mean_time(Exponential(1.0), -1.0)
+@pytest.mark.parametrize("moment", [
+    lambda t: truncated_mean_time(Pareto(1.0, 1.2), t),
+    lambda t: truncated_mean_time(Exponential(1.0), t),
+    lambda t: expected_reward(GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6)), t),
+    lambda t: expected_reward(GroupModel(Exponential(1.0), Constant(1.0)), t),
+], ids=["mean_time_pareto", "mean_time_exp", "reward_pareto_pow", "reward_exp_const"])
+@pytest.mark.parametrize("t", [0.0, -1.0])
+def test_moments_reject_bad_deadline(moment, t):
+    with pytest.raises(ValueError, match="deadline must be > 0"):
+        moment(t)
+
+
+@pytest.mark.parametrize("shape", [1.0, 0.5])
+def test_pareto_mean_is_infinite_at_shape_one_or_below(shape):
+    assert mean_completion(Pareto(1.0, shape)) == math.inf
 
 
 def test_truncated_mean_vs_quadrature_sweep():

@@ -28,8 +28,15 @@ def test_params_validation():
         LearnerParams(v=0.0)
     with pytest.raises(ValueError):
         LearnerParams(v=1.0, delay=0)
+    with pytest.raises(ValueError, match="delay must be an integer"):
+        LearnerParams(v=5.0, delay=True)
     with pytest.raises(ValueError):
         LearnerParams(v=1.0, target_rate_cap=0.0)
+
+
+def test_learner_needs_a_group():
+    with pytest.raises(ValueError, match="at least one group"):
+        OnlineLearner([], GRID, LearnerParams(v=1.0))
 
 
 # ---------------------------------------------------------------------------

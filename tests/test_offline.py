@@ -153,6 +153,25 @@ def test_fractions_reject_linear_and_zero_rates():
         solve_fractions(uniform_utilities(1.0), _stats([0.0, 0.0]))
 
 
+def test_closed_form_rejects_mixed_alphas_and_zero_rates():
+    with pytest.raises(ValueError, match="disagree"):
+        alpha_fair_closed_form(1.0, [UtilitySpec(1.0), UtilitySpec(2.0)], _stats([1.0, 2.0]))
+    with pytest.raises(NoRewardError):
+        alpha_fair_closed_form(1.0, uniform_utilities(1.0), _stats([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, d: solve(g, d, uniform_utilities(1.0, 3)), "2 groups vs 3 utilities"),
+    (lambda g, d: solve_fractions(uniform_utilities(1.0, 3), _stats([1.0, 2.0])), "3 utilities vs 2 groups"),
+    # a valid distribution, but over deadlines x groups
+    (lambda g, d: srp_group_rates(np.full((len(d), 2), 1.0 / 18), g, d), "P must have shape"),
+], ids=["solve", "solve_fractions", "srp_group_rates"])
+def test_group_count_mismatches_rejected(call, message):
+    groups, deadlines = two_group_env()
+    with pytest.raises(ValueError, match=message):
+        call(groups, deadlines)
+
+
 def test_fractions_zero_rate_group_excluded():
     phi, _ = solve_fractions(uniform_utilities(1.0, 3), _stats([1.0, 0.0, 0.5]))
     assert phi[1] == 0.0

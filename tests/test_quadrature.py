@@ -126,3 +126,4 @@ def test_expected_reward_warns_exactly_when_ier_nonzero(ier, monkeypatch):
     assert [type(w.message) for w in caught] == ([UserWarning] if ier else [])
     if ier:
         assert f"ier={ier}" in str(caught[0].message)
+        assert caught[0].filename == __file__  # points at expected_reward's caller

@@ -102,6 +102,18 @@ def test_budget_validation():
             run_episode(groups, dl, us, unit_policy(), bad, seed=0)
 
 
+@pytest.mark.parametrize("policy, utilities, seed, error, message", [
+    (OnlinePolicy(LearnerParams(v=20.0)), 2, -1, ValueError, "seed must be >= 0"),
+    ("online", 2, 0, TypeError, "unknown policy"),
+    (SrpPolicy((0.2, 0.3, 0.5), (7.0, 4.0, 4.0)), 2, 0, ValueError, "policy has 3 groups, environment has 2"),
+    (OnlinePolicy(LearnerParams(v=20.0)), 3, 0, ValueError, "3 utilities vs 2 groups"),
+], ids=["negative_seed", "unknown_policy", "srp_length", "utilities_length"])
+def test_run_episode_input_checks(policy, utilities, seed, error, message):
+    groups, deadlines = two_group_env()
+    with pytest.raises(error, match=message):
+        run_episode(groups, deadlines, uniform_utilities(1.0, utilities), policy, 100.0, seed)
+
+
 def test_first_passage_bracket_on_random_episodes():
     groups, deadlines = two_group_env()
     us = uniform_utilities(1.0)
