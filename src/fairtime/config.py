@@ -183,16 +183,16 @@ class _Checker:
         return obj
 
 
-_POSITIVE = {"exclusive_min": 0.0}
-_NON_NEGATIVE = {"minimum": 0.0}
-# {variant: (type, {param: number constraints})}; constraints in a list mark a
-# list-valued parameter
+# a field table maps each field to (_Checker method, constraints)
+_POSITIVE = (_Checker.number, {"exclusive_min": 0.0})
+_NON_NEGATIVE = (_Checker.number, {"minimum": 0.0})
+# {variant: (type, field table of its parameters)}
 _VARIANTS = {
     "completion": {
         "pareto": (Pareto, {"scale": _POSITIVE, "shape": _POSITIVE}),
         "exponential": (Exponential, {"rate": _POSITIVE}),
         "deterministic": (Deterministic, {"value": _POSITIVE}),
-        "empirical": (Empirical, {"samples": [_POSITIVE]}),
+        "empirical": (Empirical, {"samples": (_Checker.numbers, {"exclusive_min": 0.0})}),
     },
     "reward": {
         "power_of_time": (PowerOfTime, {"exponent": _NON_NEGATIVE}),
@@ -217,12 +217,8 @@ def _parse_variant(chk, obj, path, variants):
         return None
     if not chk.require_keys(params, path, tuple(spec)):
         return None
-    values = {}
-    for name, constraints in spec.items():
-        if isinstance(constraints, list):
-            values[name] = chk.numbers(params[name], f"{path}.{name}", **constraints[0])
-        else:
-            values[name] = chk.number(params[name], f"{path}.{name}", **constraints)
+    values = {name: check(chk, params[name], f"{path}.{name}", **constraints)
+              for name, (check, constraints) in spec.items()}
     if None in values.values():
         return None
     return chk.build(make, path, **values)
@@ -329,9 +325,9 @@ def _parse_experiment(chk, obj, n_groups, deadlines):
 
 # top-level field -> (_Checker method, constraints); the defaults are ExperimentConfig's
 _OPTIONAL = {
-    "v": (_Checker.number, _POSITIVE),
+    "v": _POSITIVE,
     "feedback_delay": (_Checker.integer, {"minimum": 1}),
-    "target_rate_cap": (_Checker.number, _POSITIVE),
+    "target_rate_cap": _POSITIVE,
     "truncate_last": (_Checker.boolean, {}),
     "trace": (_Checker.boolean, {}),
 }

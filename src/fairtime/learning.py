@@ -35,6 +35,11 @@ numpy's vectorized ``pow`` (SVML on AVX-512 hosts) rounds differently from
 libm's ``**`` in a few percent of inputs, so when some alpha is neither 0
 nor 1 the raw targets still go through one ``np.power`` call per task.
 
+``decide`` scores each group by its multiplier times its best rate.  When
+a lesser rate's score rounds to the top score too, or a score is inf or NaN,
+it takes numpy's first arg-max of the full score grid; rounding is monotone,
+so a rounding tie resolves to the same first (group, deadline) either way.
+
 The dual update has one implementation, ``step``: it computes the targets
 of the current queues, updates the queues with them and returns the targets
 as a list of floats.  It enters no ``np.errstate`` of its own; the engine
@@ -238,17 +243,16 @@ class OnlineLearner:
         # the top product, at its first deadline scoring that product, is the
         # first arg-max of the flattened (group, deadline) score grid
         products = list(map(mul, multipliers, self._best_rows[self._row]))
-        top = max(products)
         total = sum(products)
         if total - total == 0.0:
+            top = max(products)
             k = products.index(top)
-            m = multipliers[k]
-            l = self._arg_rows[self._row][k]
-            if m * self._below_rows[self._row][k] == top:  # a smaller rate rounds to the top too
-                l = [m * rate for rate in self._rate_block[self._row, k].tolist()].index(top)
-        else:  # an inf or NaN product: numpy's arg-max, NaN first
-            scores = self._rate_block[self._row] * np.array(multipliers)[:, None]
-            k, l = divmod(int(scores.argmax()), len(self._deadlines))
+            if multipliers[k] * self._below_rows[self._row][k] != top:
+                return k, self._deadlines[self._arg_rows[self._row][k]]
+        # an inf or NaN product, or a lesser rate that rounds to the top
+        # product too: numpy's first arg-max of the score grid, NaN first
+        scores = self._rate_block[self._row] * np.array(multipliers)[:, None]
+        k, l = divmod(int(scores.argmax()), len(self._deadlines))
         return k, self._deadlines[l]
 
     def target_rates(self) -> np.ndarray:

@@ -9,6 +9,7 @@ from fairtime import (
     GroupModel,
     GroupStats,
     NoRewardError,
+    NumericalError,
     Pareto,
     PowerOfTime,
     SrpPolicy,
@@ -24,6 +25,7 @@ from fairtime import (
     truncated_mean_time,
     utility_rate_of_srp,
 )
+from fairtime import offline
 from helpers import (
     FAMILY_GROUPS,
     LAM_ALPHA_HALF,
@@ -170,6 +172,19 @@ def test_group_count_mismatches_rejected(call, message):
     groups, deadlines = two_group_env()
     with pytest.raises(ValueError, match=message):
         call(groups, deadlines)
+
+
+def test_fractions_bracket_failure_raises():
+    # the heavy group's share (1e61 / lam) ** (1 / 5) stays above 1 through
+    # all 200 doublings, lam_hi = 2 ** 199 < 1e61; no power overflows on the way
+    with pytest.raises(NumericalError, match="could not bracket"):
+        solve_fractions([UtilitySpec(5.0, 1e61), UtilitySpec(4.0)], _stats([1.0, 1.0]))
+
+
+def test_fractions_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(offline, "_BISECT_MAX_ITER", 3)
+    with pytest.raises(NumericalError, match="dual bisection did not reach"):
+        solve_fractions([UtilitySpec(0.5), UtilitySpec(2.0)], _stats([0.9, 0.4]))
 
 
 def test_fractions_zero_rate_group_excluded():
