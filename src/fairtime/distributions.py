@@ -46,10 +46,10 @@ class Pareto:
     shape: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"Pareto scale must be > 0, got {self.scale}")
-        if not self.shape > 0:
-            raise ValueError(f"Pareto shape must be > 0, got {self.shape}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"Pareto scale must be finite and > 0, got {self.scale}")
+        if not 0 < self.shape < math.inf:
+            raise ValueError(f"Pareto shape must be finite and > 0, got {self.shape}")
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # inverse CDF on U in (0, 1]; 1 - random() avoids U = 0 -> inf
@@ -85,8 +85,8 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"Exponential rate must be > 0, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"Exponential rate must be finite and > 0, got {self.rate}")
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size)
@@ -126,8 +126,8 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError(f"Deterministic value must be > 0, got {self.value}")
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"Deterministic value must be finite and > 0, got {self.value}")
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
@@ -154,8 +154,8 @@ class Empirical:
     def __post_init__(self):
         if len(self.samples) == 0:
             raise ValueError("Empirical needs at least one sample")
-        if not all(x > 0 for x in self.samples):
-            raise ValueError("Empirical samples must all be > 0")
+        if not all(0 < x < math.inf for x in self.samples):
+            raise ValueError("Empirical samples must all be finite and > 0")
         object.__setattr__(self, "samples", tuple(float(x) for x in self.samples))
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -190,8 +190,8 @@ class PowerOfTime:
     exponent: float
 
     def __post_init__(self):
-        if not self.exponent >= 0:
-            raise ValueError(f"PowerOfTime exponent must be >= 0, got {self.exponent}")
+        if not 0 <= self.exponent < math.inf:
+            raise ValueError(f"PowerOfTime exponent must be finite and >= 0, got {self.exponent}")
 
     def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return completions ** self.exponent
@@ -205,8 +205,8 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        if not self.value >= 0:
-            raise ValueError(f"Constant reward must be >= 0, got {self.value}")
+        if not 0 <= self.value < math.inf:
+            raise ValueError(f"Constant reward must be finite and >= 0, got {self.value}")
 
     def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.full(completions.shape, self.value)
@@ -223,7 +223,7 @@ class ScaledUniform:
     hi: float
 
     def __post_init__(self):
-        if not 0 <= self.lo <= self.hi:
+        if not 0 <= self.lo <= self.hi < math.inf:
             raise ValueError(f"ScaledUniform needs 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
     def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:

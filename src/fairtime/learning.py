@@ -90,13 +90,13 @@ class LearnerParams:
     target_rate_cap: float | None = None
 
     def __post_init__(self):
-        if not self.v > 0:
-            raise ValueError(f"v must be > 0, got {self.v}")
+        if not 0 < self.v < math.inf:
+            raise ValueError(f"v must be finite and > 0, got {self.v}")
         # bool is an int subclass, but delay=True would silently run as 1
         if not (isinstance(self.delay, int) and not isinstance(self.delay, bool) and self.delay >= 1):
             raise ValueError(f"delay must be an integer >= 1, got {self.delay}")
-        if self.target_rate_cap is not None and not self.target_rate_cap > 0:
-            raise ValueError(f"target_rate_cap must be > 0, got {self.target_rate_cap}")
+        if self.target_rate_cap is not None and not 0 < self.target_rate_cap < math.inf:
+            raise ValueError(f"target_rate_cap must be finite and > 0, got {self.target_rate_cap}")
 
 
 class OnlineLearner:
@@ -196,14 +196,6 @@ class OnlineLearner:
         self._below_rows = reduce(np.maximum, below.transpose(2, 0, 1)).tolist()
         self._folded += x.shape[0]
 
-    def _release(self, released: int) -> None:
-        while self._folded < released:
-            self._fold(*self._pending.popleft())
-        self._released = released
-        self._row = released - self._folded - 1
-        if self.params.target_rate_cap is None:
-            self._caps = self._best_rows[self._row]
-
     @property
     def released_samples(self) -> int:
         return self._released
@@ -231,7 +223,12 @@ class OnlineLearner:
         due = task - self.params.delay
         released = min(due, self._ingested)
         if released > self._released:
-            self._release(released)
+            while self._folded < released:
+                self._fold(*self._pending.popleft())
+            self._released = released
+            self._row = released - self._folded - 1
+            if self.params.target_rate_cap is None:
+                self._caps = self._best_rows[self._row]
         if task <= self.cold_start_tasks:
             return (task - 1) % self.n_groups, self._deadlines[-1]
         if released < due:

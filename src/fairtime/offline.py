@@ -19,7 +19,7 @@ family.  ``solve`` is the convenience entry point used by the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,8 +58,8 @@ class OfflineSolution:
     selection: np.ndarray        # per-task group selection probabilities, sums to 1
     multiplier: float            # dual price of the budget constraint
     utility_rate: float
-    floored: bool = False
-    excluded: tuple[int, ...] = field(default=())
+    floored: bool                # a starved group was evaluated at the rate floor
+    excluded: tuple[int, ...]    # zero-rate groups, share 0
 
 
 # ---------------------------------------------------------------------------

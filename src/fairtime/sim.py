@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -78,11 +79,7 @@ class SrpPolicy:
 
     @classmethod
     def from_solution(cls, solution: OfflineSolution) -> "SrpPolicy":
-        return cls(
-            selection=tuple(float(p) for p in solution.selection),
-            deadlines=tuple(s.deadline for s in solution.stats),
-            label="oracle_srp",
-        )
+        return cls(solution.selection, [s.deadline for s in solution.stats], label="oracle_srp")
 
     def columns(self, deadlines: DeadlineSet) -> list[int]:
         """Each group's deadline as its index in the deadline set."""
@@ -103,7 +100,7 @@ class SrpPolicy:
 @dataclass(frozen=True)
 class OnlinePolicy:
     params: LearnerParams
-    label: str = "online"
+    label: ClassVar[str] = "online"
 
 
 Policy = SrpPolicy | OnlinePolicy
@@ -140,7 +137,7 @@ class McSummary:
 
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
     """Independent substreams (seed, 0) .. (seed, n - 1)."""
-    if seed < 0:
+    if isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     return [
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
@@ -391,9 +388,7 @@ def monte_carlo(
     se_rates = rates.std(axis=0, ddof=1) / math.sqrt(trials)
     util_of_mean, _ = total_utility(utilities, mean_rates)
     # delta method: d/dr_k U_k at the mean rates, floored like total_utility
-    sens = np.array(
-        [marginal(u, max(m, RATE_FLOOR) if u.alpha > 0 else m) for u, m in zip(utilities, mean_rates)]
-    )
+    sens = np.array([marginal(u, max(m, RATE_FLOOR)) for u, m in zip(utilities, mean_rates)])
     regret_se = float(np.sqrt(((sens * se_rates) ** 2).sum()))
     return McSummary(
         trials=trials,

@@ -27,10 +27,10 @@ class UtilitySpec:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if not self.weight > 0:
-            raise ValueError(f"weight must be > 0, got {self.weight}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"weight must be finite and > 0, got {self.weight}")
 
 
 def value(u: UtilitySpec, x: float) -> float:

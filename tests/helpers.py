@@ -180,27 +180,38 @@ def alpha_fair_optimum_reference(alpha, weights, rates):
     return float(s ** alpha / (1.0 - alpha))
 
 
-def numpy_host() -> str:
-    """numpy's version and the SIMD targets it dispatches to on this host, for
-    the digest tests' failure messages.  The frozen digests match numpy 2.4.6
-    dispatching to AVX-512; numpy's baseline loops for pow, exp and log round
-    differently, so on another numpy or below AVX-512 a mismatch may be a
-    host difference rather than an engine change."""
+# {digest file name: {"verified_on": host}}, beside the digest files
+DIGEST_HOSTS = "digest_hosts.json"
+
+
+def this_host() -> dict:
+    """numpy's version and the SIMD targets it dispatches to on this host."""
     try:
         from numpy._core import _multiarray_umath as umath
     except ImportError:  # numpy < 2
         from numpy.core import _multiarray_umath as umath
     dispatch = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
-    return (f"this host: numpy {np.__version__}, SIMD dispatch {dispatch}; the digests "
-            "match numpy 2.4.6, SIMD dispatch "
-            "['X86_V3', 'X86_V4', 'AVX512_ICL', 'AVX512_SPR']")
+    return {"numpy": np.__version__, "simd_dispatch": dispatch}
+
+
+def numpy_host(path) -> str:
+    """This host beside the host on which the digest file ``path`` was last
+    verified, for the digest tests' failure messages.  numpy's baseline loops
+    for pow, exp and log round differently from its AVX-512 ones, so where
+    the two differ a mismatch may be a host difference rather than an engine
+    change."""
+    hosts = path.parent / DIGEST_HOSTS
+    recorded = json.loads(hosts.read_text()).get(path.name)
+    return f"this host: {this_host()}; {path.name} " + (
+        f"verified on: {recorded['verified_on']}" if recorded else "has no recorded host")
 
 
 def freeze(path, make_table) -> int:
     """Write the digest table ``make_table()`` to ``path`` as a frozen test
-    oracle and return the exit status.  An existing file is kept unless the
-    command line has ``--force``, so a changed engine cannot re-freeze the
-    digests it is checked against by accident."""
+    oracle, record this host for it in ``DIGEST_HOSTS`` beside it, and return
+    the exit status.  An existing file is kept unless the command line has
+    ``--force``, so a changed engine cannot re-freeze the digests it is
+    checked against by accident."""
     parser = argparse.ArgumentParser(description=f"write {path.name} from the installed package")
     parser.add_argument("--force", action="store_true", help="overwrite an existing file")
     force = parser.parse_args().force
@@ -210,4 +221,8 @@ def freeze(path, make_table) -> int:
     table = make_table()
     path.parent.mkdir(exist_ok=True)
     path.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
+    hosts_path = path.parent / DIGEST_HOSTS
+    hosts = json.loads(hosts_path.read_text()) if hosts_path.exists() else {}
+    hosts[path.name] = {"verified_on": this_host()}
+    hosts_path.write_text(json.dumps(hosts, indent=1, sort_keys=True) + "\n")
     return 0

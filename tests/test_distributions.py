@@ -11,6 +11,7 @@ from fairtime import (
     Empirical,
     Exponential,
     GroupModel,
+    LearnerParams,
     Pareto,
     PowerOfTime,
     ScaledUniform,
@@ -55,6 +56,33 @@ def rng(seed=0):
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+# every library type with numeric fields: (type, valid arguments); each
+# field in turn takes a non-finite value, as one element where it is a tuple
+NUMERIC_TYPES = [
+    (Pareto, {"scale": 1.0, "shape": 1.2}),
+    (Exponential, {"rate": 1.0}),
+    (Deterministic, {"value": 2.0}),
+    (Empirical, {"samples": (1.0, 2.0)}),
+    (PowerOfTime, {"exponent": 0.5}),
+    (Constant, {"value": 1.0}),
+    (ScaledUniform, {"lo": 0.5, "hi": 1.5}),
+    (DeadlineSet, {"deadlines": (1.0, 2.0)}),
+    (UtilitySpec, {"alpha": 1.0, "weight": 1.0}),
+    (LearnerParams, {"v": 5.0, "delay": 1, "target_rate_cap": 2.0}),
+]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("make, kwargs, field", [(m, kw, f) for m, kw in NUMERIC_TYPES for f in kw],
+                         ids=[f"{m.__name__}.{f}" for m, kw in NUMERIC_TYPES for f in kw])
+def test_non_finite_fields_rejected(make, kwargs, field, bad):
+    make(**kwargs)  # valid as given
+    value = kwargs[field]
+    kwargs = {**kwargs, field: value[:-1] + (bad,) if isinstance(value, tuple) else bad}
+    with pytest.raises(ValueError):
+        make(**kwargs)
 
 
 def test_power_reward_needs_lighter_tail_than_pareto():

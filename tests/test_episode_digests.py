@@ -60,7 +60,7 @@ def test_online_episodes_match_frozen_digests(delay):
         deepest = max(deepest, res.n_tasks - delay)
         if episode_digest(res) != frozen[case_id(*case)]:
             mismatched.append(case_id(*case))
-    assert mismatched == [], numpy_host()
+    assert mismatched == [], numpy_host(DATA)
     if delay > 256:
         # some episode released more than one 256-stage chunk of samples
         assert deepest > 256

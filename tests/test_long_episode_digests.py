@@ -55,7 +55,7 @@ def test_long_online_episodes_match_frozen_digests(k):
         shortest = res.n_tasks if shortest is None else min(shortest, res.n_tasks)
         if episode_digest(res) != frozen[case_id(*case)]:
             mismatched.append(case_id(*case))
-    assert mismatched == [], numpy_host()
+    assert mismatched == [], numpy_host(DATA)
     # every episode ran well past its cold start and several sample chunks
     assert shortest > 1000
 

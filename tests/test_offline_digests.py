@@ -99,7 +99,7 @@ def test_offline_solutions_match_frozen_digests():
     assert sorted(frozen) == sorted(case_id(*case) for case in cases())
     mismatched = [case_id(*case) for case in cases()
                   if outcome_digest(*case) != frozen[case_id(*case)]]
-    assert mismatched == [], numpy_host()
+    assert mismatched == [], numpy_host(DATA)
 
 
 if __name__ == "__main__":

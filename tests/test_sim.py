@@ -104,10 +104,11 @@ def test_budget_validation():
 
 @pytest.mark.parametrize("policy, utilities, seed, error, message", [
     (OnlinePolicy(LearnerParams(v=20.0)), 2, -1, ValueError, "seed must be >= 0"),
+    (OnlinePolicy(LearnerParams(v=20.0)), 2, True, ValueError, "seed must be >= 0"),
     ("online", 2, 0, TypeError, "unknown policy"),
     (SrpPolicy((0.2, 0.3, 0.5), (7.0, 4.0, 4.0)), 2, 0, ValueError, "policy has 3 groups, environment has 2"),
     (OnlinePolicy(LearnerParams(v=20.0)), 3, 0, ValueError, "3 utilities vs 2 groups"),
-], ids=["negative_seed", "unknown_policy", "srp_length", "utilities_length"])
+], ids=["negative_seed", "bool_seed", "unknown_policy", "srp_length", "utilities_length"])
 def test_run_episode_input_checks(policy, utilities, seed, error, message):
     groups, deadlines = two_group_env()
     with pytest.raises(error, match=message):

@@ -105,7 +105,7 @@ def test_srp_budget_episodes_match_frozen_digests(k, monkeypatch):
             assert res.n_tasks < BLOCK
         else:
             assert res.n_tasks > sim._ROUND_BLOCKS * BLOCK
-    assert mismatched == [], numpy_host()
+    assert mismatched == [], numpy_host(DATA)
     # only the budget past the round cap needs a second round
     assert multi_round == [case_id(*c) for c in cases() if c[0] == k and c[-1] == "past_round_cap"]
 
@@ -121,7 +121,7 @@ def test_round_size_changes_no_bit(variant, monkeypatch):
         monkeypatch.setattr(sim, "_srp_time_per_task", lambda *args: scale * estimate(*args))
     frozen = json.loads(DATA.read_text())
     mismatched = [case_id(*case) for case in cases() if episode_digest(episode(*case)) != frozen[case_id(*case)]]
-    assert mismatched == [], numpy_host()
+    assert mismatched == [], numpy_host(DATA)
 
 
 def test_benchmark_sized_srp_trial_runs_at_most_two_rounds(monkeypatch):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import episode_digest, family_srp_episode, freeze, numpy_host
+from helpers import DIGEST_HOSTS, episode_digest, family_srp_episode, freeze, numpy_host, this_host
 
 DATA = Path(__file__).parent / "data" / "srp_episode_digests.json"
 
@@ -58,7 +58,7 @@ def test_srp_episodes_match_frozen_digests(k):
         shortest = res.n_tasks if shortest is None else min(shortest, res.n_tasks)
         if episode_digest(res) != frozen[case_id(*case)]:
             mismatched.append(case_id(*case))
-    assert mismatched == [], numpy_host()
+    assert mismatched == [], numpy_host(DATA)
     # every episode drew past its second 512-stage block
     assert shortest > 2 * BLOCK
 
@@ -72,6 +72,16 @@ def test_digest_writer_overwrites_only_with_force(tmp_path, monkeypatch):
     monkeypatch.setattr("sys.argv", ["writer", "--force"])
     assert freeze(path, lambda: {"case": "digest"}) == 0
     assert json.loads(path.read_text()) == {"case": "digest"}
+    hosts = json.loads((tmp_path / DIGEST_HOSTS).read_text())
+    assert hosts == {"digests.json": {"verified_on": this_host()}}
+    assert f"digests.json verified on: {this_host()}" in numpy_host(path)
+
+
+def test_every_digest_file_has_a_recorded_host():
+    data = DATA.parent
+    hosts = json.loads((data / DIGEST_HOSTS).read_text())
+    assert sorted(hosts) == sorted(p.name for p in data.glob("*_digests.json"))
+    assert all(set(entry["verified_on"]) == {"numpy", "simd_dispatch"} for entry in hosts.values())
 
 
 if __name__ == "__main__":
