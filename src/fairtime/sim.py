@@ -10,7 +10,10 @@ Reproducibility contract: episode ``i`` of a Monte Carlo run uses seed
 ``monte_carlo``, which runs its trials one after another in trial order in
 the calling thread.  Within an episode, group ``k`` draws its task stream
 from an independent substream keyed by ``(seed, k)``; the randomized policy
-draws selections from substream ``(seed, K)``.  Stage n of every group's
+draws selections from substream ``(seed, K)``.  A standalone episode seeds
+its substreams with numpy's ``SeedSequence``; ``monte_carlo`` computes the
+same generator states for up to ``_SEED_CHUNK`` trials in one vectorised
+pass (``_stream_words``), with the same bits.  Stage n of every group's
 stream is that group's latent task-n sample, so the sample matrix is
 independent of the policy's choices.  The online engine draws 256 stages at
 a time and hands each chunk to the learner whole; the randomized-policy
@@ -53,6 +56,14 @@ from .utility import RATE_FLOOR, UtilitySpec, marginal, total_utility
 _BLOCK = 512  # most stages a group draws per call where its calls do not concatenate
 _ROUND_BLOCKS = 16  # most blocks one SRP round holds, so its arrays stay small
 _CHUNK = 256  # stages the online engine draws and hands to the learner at once
+_SEED_CHUNK = 1024  # most trials whose stream states monte_carlo computes in one pass
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx): the
+# entropy hash, the output hash and the pool mix
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +87,11 @@ class SrpPolicy:
             raise ValueError("need one deadline per group")
         object.__setattr__(self, "selection", sel)
         object.__setattr__(self, "deadlines", tuple(float(t) for t in self.deadlines))
+        # the SRP engine's per-trial constants, kept out of the fields (and so
+        # out of __eq__): the bounds between groups k and k + 1 on the
+        # selection draw, and each group's deadline
+        object.__setattr__(self, "_bounds", np.cumsum(sel)[:-1, None])
+        object.__setattr__(self, "_deadline_array", np.asarray(self.deadlines))
 
     @classmethod
     def from_solution(cls, solution: OfflineSolution) -> "SrpPolicy":
@@ -135,14 +151,96 @@ class McSummary:
     mean_tasks: float
 
 
+def _check_seed(seed) -> int:
+    """The seed as an int; raises ValueError unless it is an integer >= 0 that
+    is not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be >= 0 and an integer, got {seed!r}")
+    return int(seed)
+
+
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
     """Independent substreams (seed, 0) .. (seed, n - 1)."""
-    if isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _check_seed(seed)
     return [
         np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         for k in range(n)
     ]
+
+
+def _hash_steps(h: int, mult: int):
+    """SeedSequence's successive hash constants as (xor, multiplier) pairs.
+    They do not depend on the data, so they advance as Python ints."""
+    while True:
+        step = h * mult & _MASK32
+        yield h, step
+        h = step
+
+
+def _stream_words(seeds, n: int) -> np.ndarray:
+    """The (len(seeds), n, 4) uint64 PCG64 seed words of substreams (s, 0) ..
+    (s, n - 1) of every seed s, equal to
+    ``SeedSequence(s, spawn_key=(k,)).generate_state(4, np.uint64)``.
+
+    A port of SeedSequence to uint32 arrays over seeds x keys.  The seed's
+    32-bit words, zero-padded to the 4-word pool, are hashed into the pool and
+    mixed; words past the fourth (seeds of 2^128 or more), then the key, are
+    mixed into every pool word; the pool is hashed out into 8 words.  Seeds
+    are grouped by their padded word count.  Arithmetic stays on arrays,
+    where uint32 wraps without a warning."""
+    seeds = list(seeds)
+    out = np.empty((len(seeds), n, 8), dtype=np.uint32)
+    keys = np.arange(n, dtype=np.uint32)
+
+    def hashmix(value, steps):
+        xor, mult = next(steps)
+        value = (value ^ xor) * mult
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> 16)
+
+    by_size: dict[int, list[int]] = {}
+    for i, s in enumerate(seeds):
+        by_size.setdefault(max(4, -(-s.bit_length() // 32)), []).append(i)
+    for size, rows in by_size.items():
+        entropy = np.frombuffer(b"".join(seeds[i].to_bytes(4 * size, "little") for i in rows), "<u4")
+        entropy = entropy.reshape(len(rows), size).T[:, :, None].astype(np.uint32)  # (word, seed, 1)
+        steps = _hash_steps(_INIT_A, _MULT_A)
+        pool = [hashmix(word, steps) for word in entropy[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src], steps))
+        for word in [*entropy[4:], keys]:  # the key broadcasts the pool to (seed, key)
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(word, steps))
+        steps = _hash_steps(_INIT_B, _MULT_B)
+        out[rows] = np.stack([hashmix(pool[j % 4], steps) for j in range(8)], axis=-1)
+    return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _trial_streams(base_seed: int, trials: int, n: int):
+    """Yield ``_streams(base_seed + i, n)`` for i < trials, with the same
+    bits: one ``_stream_words`` pass per ``_SEED_CHUNK`` trials, and each
+    PCG64 seeded with its words."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        """A seed sequence that hands PCG64 precomputed words."""
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # PCG64 asks for 4 uint64 words
+
+    end = base_seed + trials
+    for start in range(base_seed, end, _SEED_CHUNK):
+        for words in _stream_words(range(start, min(start + _SEED_CHUNK, end)), n):
+            yield [Generator(PCG64(Words(w))) for w in words]
 
 
 def _draw_stages(groups, rngs, n):
@@ -175,16 +273,23 @@ def run_episode(
     *,
     truncate_last: bool = False,
     collect_trace: bool = False,
+    rngs: list[np.random.Generator] | None = None,
 ) -> EpisodeResult:
-    """Run one budgeted episode under the given policy."""
+    """Run one budgeted episode under the given policy.
+
+    ``rngs``, when given, are the episode's substreams in place of
+    ``_streams(seed, n)``, and must have their bits: n is K + 1 for an SRP
+    policy and K for the learner.  ``monte_carlo`` passes them precomputed.
+    """
     if not (budget > 0 and math.isfinite(budget)):
         raise ValueError(f"budget must be positive and finite, got {budget}")
+    K = len(groups)
     if isinstance(policy, SrpPolicy):
-        totals = _run_srp(groups, deadlines, policy, budget, seed)
+        totals = _run_srp(groups, deadlines, policy, budget, rngs or _streams(seed, K + 1))
         trace = None
     elif isinstance(policy, OnlinePolicy):
         totals, trace = _run_online(
-            groups, deadlines, utilities, policy.params, budget, seed, collect_trace
+            groups, deadlines, utilities, policy.params, budget, rngs or _streams(seed, K), collect_trace
         )
     else:
         raise TypeError(f"unknown policy {policy!r}")
@@ -248,15 +353,14 @@ def _add_block_sums(totals, bins, weights):
     return np.cumsum(sums, axis=0, out=sums)[-1]
 
 
-def _run_srp(groups, deadlines, policy, budget, seed):
+def _run_srp(groups, deadlines, policy, budget, rngs):
     K = len(groups)
     if len(policy.selection) != K:
         raise ValueError(f"policy has {len(policy.selection)} groups, environment has {K}")
     policy.columns(deadlines)  # validates deadline membership
-    t_assigned = np.asarray(policy.deadlines)
-    bounds = np.cumsum(policy.selection)[:-1, None]  # between groups k and k + 1
+    t_assigned, bounds = policy._deadline_array, policy._bounds
     per_task = _srp_time_per_task(groups, policy)
-    *group_rngs, choice_rng = _streams(seed, K + 1)
+    *group_rngs, choice_rng = rngs
 
     time_tot = np.zeros(K)
     reward_tot = np.zeros(K)
@@ -299,11 +403,10 @@ def _run_srp(groups, deadlines, policy, budget, seed):
             return time_tot, reward_tot, n_tasks, before, total, elapsed[last], int(ks[last]), rewards[last]
 
 
-def _run_online(groups, deadlines, utilities, params, budget, seed, collect_trace):
+def _run_online(groups, deadlines, utilities, params, budget, rngs, collect_trace):
     K = len(groups)
     if len(utilities) != K:
         raise ValueError(f"{len(utilities)} utilities vs {K} groups")
-    rngs = _streams(seed, K)
     learner = OnlineLearner(utilities, deadlines, params)
 
     time_tot = [0.0] * K  # Python floats add with the bits of float64 elements
@@ -357,10 +460,12 @@ def monte_carlo(
     base_seed + i).
 
     Trials run one after another in trial order, so each matches its
-    standalone ``run_episode`` bit for bit.  Regret is measured
+    standalone ``run_episode`` bit for bit; their substreams come from one
+    ``_stream_words`` pass per ``_SEED_CHUNK`` trials.  Regret is measured
     against the offline optimum utility rate (computed here unless passed
     in), applying the utilities to the across-trial mean reward rates.
     """
+    base_seed = _check_seed(base_seed)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if opt_utility_rate is None:
@@ -373,10 +478,12 @@ def monte_carlo(
     tasks = np.empty(trials)
     floored = np.zeros(trials, dtype=bool)
 
-    for i in range(trials):
+    # the SRP engine draws its selections from substream K
+    streams = _trial_streams(base_seed, trials, K + isinstance(policy, SrpPolicy))
+    for i, rngs in enumerate(streams):
         res = run_episode(
             groups, deadlines, utilities, policy, budget, base_seed + i,
-            truncate_last=truncate_last,
+            truncate_last=truncate_last, rngs=rngs,
         )
         rates[i] = res.reward_rates
         shares[i] = res.time_shares

@@ -85,15 +85,22 @@ def srp_selection(kind: str, k: int) -> tuple[float, ...]:
     return (0.0,) * (k - 1) + (1.0,)
 
 
-def family_srp_episode(k, kind, truncate, seed, budget):
-    """One SRP episode on the first k FAMILY_GROUPS with their weights at
-    alpha 1, as the frozen SRP digests run it."""
+def family_srp_case(k, kind):
+    """The first k FAMILY_GROUPS, their utilities (their weights at alpha 1)
+    and the SRP policy with the given selection kind, as the frozen SRP
+    digests run them."""
     groups = [g for g, _ in FAMILY_GROUPS[:k]]
     utilities = [UtilitySpec(1.0, w) for _, w in FAMILY_GROUPS[:k]]
     # deadlines 2, 7, 1.5, 5, 20, 4, 15, 3: spread over the menu, below and
     # above each family's typical completion
     deadlines = tuple(DEADLINE_GRID[(4 * i + 1) % len(DEADLINE_GRID)] for i in range(k))
-    policy = SrpPolicy(selection=srp_selection(kind, k), deadlines=deadlines)
+    return groups, utilities, SrpPolicy(selection=srp_selection(kind, k), deadlines=deadlines)
+
+
+def family_srp_episode(k, kind, truncate, seed, budget):
+    """One SRP episode of ``family_srp_case(k, kind)``, as the frozen SRP
+    digests run it."""
+    groups, utilities, policy = family_srp_case(k, kind)
     return run_episode(groups, DeadlineSet(DEADLINE_GRID), utilities, policy, budget, seed, truncate_last=truncate)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -23,7 +24,7 @@ from fairtime import (
     sim,
     solve,
 )
-from helpers import episode_digest, two_group_env, uniform_utilities
+from helpers import DEADLINE_GRID, episode_digest, family_srp_case, two_group_env, uniform_utilities
 
 
 def unit_env():
@@ -95,6 +96,13 @@ def test_srp_selection_must_be_distribution():
             SrpPolicy(selection, (2.0, 4.0))
 
 
+def test_srp_policy_constants_stay_out_of_its_fields():
+    a, b = SrpPolicy((0.25, 0.75), (7.0, 4.0)), SrpPolicy([0.25, 0.75], [7, 4])
+    assert [f.name for f in dataclasses.fields(SrpPolicy)] == ["selection", "deadlines", "label"]
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert a._bounds.tolist() == [[0.25]] and a._deadline_array.tolist() == [7.0, 4.0]
+
+
 def test_budget_validation():
     groups, dl, us = unit_env()
     for bad in (0.0, -1.0, math.inf):
@@ -105,10 +113,11 @@ def test_budget_validation():
 @pytest.mark.parametrize("policy, utilities, seed, error, message", [
     (OnlinePolicy(LearnerParams(v=20.0)), 2, -1, ValueError, "seed must be >= 0"),
     (OnlinePolicy(LearnerParams(v=20.0)), 2, True, ValueError, "seed must be >= 0"),
+    (SrpPolicy((0.5, 0.5), (7.0, 4.0)), 2, 1.5, ValueError, "seed must be >= 0"),
     ("online", 2, 0, TypeError, "unknown policy"),
     (SrpPolicy((0.2, 0.3, 0.5), (7.0, 4.0, 4.0)), 2, 0, ValueError, "policy has 3 groups, environment has 2"),
     (OnlinePolicy(LearnerParams(v=20.0)), 3, 0, ValueError, "3 utilities vs 2 groups"),
-], ids=["negative_seed", "bool_seed", "unknown_policy", "srp_length", "utilities_length"])
+], ids=["negative_seed", "bool_seed", "float_seed", "unknown_policy", "srp_length", "utilities_length"])
 def test_run_episode_input_checks(policy, utilities, seed, error, message):
     groups, deadlines = two_group_env()
     with pytest.raises(error, match=message):
@@ -293,6 +302,58 @@ def test_monte_carlo_matches_standalone_episodes(monkeypatch):
         assert [episode_digest(res) for res in inside] == [episode_digest(res) for res in alone]
         rates = np.array([res.reward_rates for res in alone])
         assert mc.mean_reward_rates.tobytes() == rates.mean(axis=0).tobytes()
+
+
+# seeds across every word-count boundary: 2^32 - 1, 2^32, 2^64 and 2^128 - 1
+# have one, two, three and four 32-bit words, which SeedSequence pads to its
+# 4-word pool; 2^128 and 2^160 + 7 have five and six, whose extra words mix in
+# before the key
+BOUNDARY_SEEDS = (2**32 - 1, 2**32, 2**63, 2**64, 2**128 - 1, 2**128, 2**160 + 7)
+
+
+def test_stream_words_match_seed_sequence():
+    seeds = [*range(1001), *BOUNDARY_SEEDS]
+    with np.errstate(all="raise"):
+        words = sim._stream_words(seeds, 9)
+        batched = [*sim._trial_streams(0, 1001, 9), *(next(sim._trial_streams(s, 1, 9)) for s in BOUNDARY_SEEDS)]
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 9, 4)
+    mismatched = [
+        (s, k) for i, s in enumerate(seeds) for k in range(9)
+        if words[i, k].tolist() != np.random.SeedSequence(s, spawn_key=(k,)).generate_state(4, np.uint64).tolist()
+    ]
+    assert mismatched == []
+    states = [[rng.bit_generator.state for rng in rngs] for rngs in batched]
+    assert states == [[rng.bit_generator.state for rng in sim._streams(s, 9)] for s in seeds]
+
+
+@pytest.mark.parametrize("policy", ["srp", "online"])
+def test_monte_carlo_matches_standalone_across_seed_chunks(policy, monkeypatch):
+    # one trial past a whole chunk; the first chunk holds one-word seeds
+    # 2^32 - 2 and 2^32 - 1, then two-word seeds
+    groups, utilities, srp = family_srp_case(8, "skewed")
+    deadlines = DeadlineSet(DEADLINE_GRID)
+    policy = srp if policy == "srp" else OnlinePolicy(LearnerParams(v=5.0, delay=3))
+    base_seed, trials, budget = 2**32 - 2, sim._SEED_CHUNK + 1, 6.0
+    inside = []
+
+    def recorded(*args, **kwargs):
+        inside.append(run_episode(*args, **kwargs))
+        return inside[-1]
+
+    monkeypatch.setattr(sim, "run_episode", recorded)
+    monte_carlo(groups, deadlines, utilities, policy, budget, trials, base_seed, opt_utility_rate=0.0)
+    alone = [run_episode(groups, deadlines, utilities, policy, budget, base_seed + i) for i in range(trials)]
+    assert [episode_digest(res) for res in inside] == [episode_digest(res) for res in alone]
+
+
+@pytest.mark.parametrize("base_seed", [True, 1.5, -1], ids=["bool", "float", "negative"])
+def test_monte_carlo_and_regret_curve_check_base_seed(base_seed):
+    groups, deadlines = two_group_env()
+    us = uniform_utilities(1.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        monte_carlo(groups, deadlines, us, SrpPolicy((0.5, 0.5), (7.0, 4.0)), 50.0, 2, base_seed)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        regret_curve(groups, deadlines, us, [10, 40, 160, 640], 2, base_seed)
 
 
 def test_srp_monte_carlo_builds_no_selection_matrix(monkeypatch):

@@ -1,0 +1,119 @@
+"""Collect the benchmark records of a parent and a changed checkout into one
+BENCH_<n>.json.
+
+    python tools/bench_record.py --parent PARENT/perfbench/out --change perfbench/out \\
+        --seeds 1 2 3 --tier1 tier1.log --out BENCH_16.json
+
+Each directory is a checkout's ``perfbench/out``, holding
+``<workload>/seed<N>/record.json`` from
+``perfbench/run.py --workload W --seed N --seconds S``.  Run the two sides in
+alternating pairs on the same seeds.  For every workload recorded on both
+sides at some of the seeds, the file holds each side's end-to-end metrics per seed
+and their medians, the change's median over the parent's, and each side's
+per-layer table as medians over the seeds (one traced run per seed).
+``--tier1`` is the output of ``pytest -q --durations=N``, whose pass count,
+wall time and ``test_07`` time are recorded.  The source line counts, the
+Python and numpy versions and numpy's SIMD dispatch are this checkout's and
+this host's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("online_pareto2", "srp_pareto2", "regret_k8_delay3")
+
+
+def record_path(out_dir: Path, workload: str, seed: int) -> Path:
+    return out_dir / workload / f"seed{seed}" / "record.json"
+
+
+def side(out_dir: Path, workload: str, seeds: list[int]) -> dict:
+    """One side's records of a workload: per-seed end-to-end metrics, their
+    medians, and the per-layer medians."""
+    records = [json.loads(record_path(out_dir, workload, seed).read_text()) for seed in seeds]
+
+    def medians(table: str) -> dict:
+        return {name: statistics.median(r[table][name] for r in records) for name in records[0][table]}
+
+    return {
+        "end_to_end": {str(seed): r["end_to_end"] for seed, r in zip(seeds, records)},
+        "end_to_end_median": medians("end_to_end"),
+        "per_layer_median": medians("per_layer"),
+        "failed_runs": sum(r["failed"] for r in records),
+        "attempted_runs": sum(r["attempted"] for r in records),
+    }
+
+
+def tier1(log: Path) -> dict:
+    """Pass count, wall time and test_07's time from a pytest log."""
+    text = log.read_text()
+    summary = re.findall(r"(\d+) passed.* in ([\d.]+)s", text)
+    test_07 = re.findall(r"([\d.]+)s call\s+\S*test_07_\w+", text)
+    return {
+        "passed": int(summary[-1][0]) if summary else None,
+        "wall_s": float(summary[-1][1]) if summary else None,
+        "test_07_s": float(test_07[0]) if test_07 else None,
+    }
+
+
+def host() -> dict:
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {
+        "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "simd_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="the parent checkout's perfbench/out")
+    parser.add_argument("--change", type=Path, required=True, help="the changed checkout's perfbench/out")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--tier1", type=Path, help="pytest -q --durations=N output of the change")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    workloads = {}
+    for workload in WORKLOADS:
+        seeds = [seed for seed in args.seeds
+                 if all(record_path(d, workload, seed).is_file() for d in (args.parent, args.change))]
+        if not seeds:
+            continue
+        parent, change = (side(d, workload, seeds) for d in (args.parent, args.change))
+        ratio = {name: change["end_to_end_median"][name] / value
+                 for name, value in parent["end_to_end_median"].items() if value}
+        workloads[workload] = {"seeds": seeds, "parent": parent, "change": change, "change_over_parent": ratio}
+    if not workloads:
+        print(f"error: no workload has a record on both sides for seeds {args.seeds}", file=sys.stderr)
+        return 1
+    src = sorted((ROOT / "src" / "fairtime").glob("*.py"))
+    lines = {p.name: len(p.read_text().splitlines()) for p in src}
+    bench = {
+        "workloads": workloads,
+        "tier1": tier1(args.tier1) if args.tier1 else None,
+        "src_lines": {**lines, "total": sum(lines.values())},
+        "host": host(),
+    }
+    args.out.write_text(json.dumps(bench, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
