@@ -10,17 +10,18 @@ Reproducibility contract: episode ``i`` of a Monte Carlo run uses seed
 ``monte_carlo``, which runs its trials one after another in trial order in
 the calling thread.  Within an episode, group ``k`` draws its task stream
 from an independent substream keyed by ``(seed, k)``; the randomized policy
-draws selections from substream ``(seed, K)``.  A standalone episode seeds
-its substreams with numpy's ``SeedSequence``; ``monte_carlo`` computes the
-same generator states for up to ``_SEED_CHUNK`` trials in one vectorised
-pass (``_stream_words``), with the same bits.  Stage n of every group's
-stream is that group's latent task-n sample, so the sample matrix is
-independent of the policy's choices.  The online engine draws 256 stages at
-a time and hands each chunk to the learner whole; the randomized-policy
-engine draws in calls of 512.  Where rewards are drawn between completions
-(a ScaledUniform reward after Pareto, Exponential or Empirical completions)
-the call size shows in the numbers, so such a group's latent stages from
-stage 257 on differ between the two policies.
+draws selections from substream ``(seed, K)``.  Every episode's substreams
+come from ``_trial_streams``, a vectorised port of numpy's
+``SeedSequence(seed, spawn_key=(k,))`` (``_stream_words``): ``monte_carlo``
+seeds up to ``_SEED_CHUNK`` trials in one pass, and a standalone episode is
+a pass of one.  Stage n of every group's stream is that group's latent
+task-n sample, so the sample matrix is independent of the policy's choices.
+The online engine draws 256 stages at a time and hands each chunk to the
+learner whole; the randomized-policy engine draws in calls of 512.  Where
+rewards are drawn between completions (a ScaledUniform reward after Pareto,
+Exponential or Empirical completions) the call size shows in the numbers,
+so such a group's latent stages from stage 257 on differ between the two
+policies.
 
 The randomized-policy engine works in rounds of 512-stage blocks.  A round
 holds enough blocks for the remaining budget at the policy's expected time
@@ -159,15 +160,6 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _streams(seed: int, n: int) -> list[np.random.Generator]:
-    """Independent substreams (seed, 0) .. (seed, n - 1)."""
-    seed = _check_seed(seed)
-    return [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
-        for k in range(n)
-    ]
-
-
 def _hash_steps(h: int, mult: int):
     """SeedSequence's successive hash constants as (xor, multiplier) pairs.
     They do not depend on the data, so they advance as Python ints."""
@@ -222,9 +214,11 @@ def _stream_words(seeds, n: int) -> np.ndarray:
 
 
 def _trial_streams(base_seed: int, trials: int, n: int):
-    """Yield ``_streams(base_seed + i, n)`` for i < trials, with the same
-    bits: one ``_stream_words`` pass per ``_SEED_CHUNK`` trials, and each
-    PCG64 seeded with its words."""
+    """Yield the substreams (s, 0) .. (s, n - 1) of every seed
+    s = base_seed + i, i < trials, as the generators
+    ``default_rng(SeedSequence(s, spawn_key=(k,)))`` would be: one
+    ``_stream_words`` pass per ``_SEED_CHUNK`` trials, and each PCG64 seeded
+    with its words.  The only source of an episode's generators."""
     from numpy.random import PCG64, Generator
     from numpy.random.bit_generator import ISeedSequence
 
@@ -277,20 +271,21 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one budgeted episode under the given policy.
 
-    ``rngs``, when given, are the episode's substreams in place of
-    ``_streams(seed, n)``, and must have their bits: n is K + 1 for an SRP
-    policy and K for the learner.  ``monte_carlo`` passes them precomputed.
+    The episode's substreams are ``next(_trial_streams(seed, 1, n))``: n is
+    K + 1 for an SRP policy, whose selections come from substream K, and K
+    for the learner.  ``rngs``, when given, replace them and must have their
+    bits; ``monte_carlo`` passes them precomputed.
     """
     if not (budget > 0 and math.isfinite(budget)):
         raise ValueError(f"budget must be positive and finite, got {budget}")
     K = len(groups)
+    if rngs is None:
+        rngs = next(_trial_streams(_check_seed(seed), 1, K + isinstance(policy, SrpPolicy)))
     if isinstance(policy, SrpPolicy):
-        totals = _run_srp(groups, deadlines, policy, budget, rngs or _streams(seed, K + 1))
+        totals = _run_srp(groups, deadlines, policy, budget, rngs)
         trace = None
     elif isinstance(policy, OnlinePolicy):
-        totals, trace = _run_online(
-            groups, deadlines, utilities, policy.params, budget, rngs or _streams(seed, K), collect_trace
-        )
+        totals, trace = _run_online(groups, deadlines, utilities, policy.params, budget, rngs, collect_trace)
     else:
         raise TypeError(f"unknown policy {policy!r}")
     time_tot, reward_tot, n_tasks, before, after, last_elapsed, last_group, last_reward = totals
@@ -478,7 +473,6 @@ def monte_carlo(
     tasks = np.empty(trials)
     floored = np.zeros(trials, dtype=bool)
 
-    # the SRP engine draws its selections from substream K
     streams = _trial_streams(base_seed, trials, K + isinstance(policy, SrpPolicy))
     for i, rngs in enumerate(streams):
         res = run_episode(

@@ -34,6 +34,12 @@ from fairtime import (
 DEADLINE_GRID = (1.5, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 15.0, 20.0)
 
 
+def numpy_streams(seed, n):
+    """Substreams (seed, 0) .. (seed, n - 1) seeded by numpy's own
+    SeedSequence, the reference for the generators of ``sim._trial_streams``."""
+    return [np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,))) for k in range(n)]
+
+
 def two_group_env():
     groups = [
         GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6), "group1"),
@@ -59,16 +65,22 @@ FAMILY_GROUPS = [
 MIXED_ALPHAS = (2.0, 0.0, 1.0, 0.5)
 
 
-def family_episode(k, alpha, delay, cap, seed, budget):
-    """One online episode on the first k FAMILY_GROUPS with their weights at
-    v = 5, as the frozen digests run it: alpha is one value or "mixed"
-    (MIXED_ALPHAS in turn); seed 0 traces every task, seed 1 drops the
-    crossing task."""
+def family_online_case(k, alpha, delay, cap):
+    """The first k FAMILY_GROUPS, their utilities (their weights at alpha, one
+    value or "mixed": MIXED_ALPHAS in turn) and the learner at v = 5 with the
+    given delay and target-rate cap, as the frozen online digests run them."""
     alphas = [MIXED_ALPHAS[i % 4] if alpha == "mixed" else alpha for i in range(k)]
     utilities = [UtilitySpec(a, w) for a, (_, w) in zip(alphas, FAMILY_GROUPS)]
     policy = OnlinePolicy(LearnerParams(v=5.0, delay=delay, target_rate_cap=cap))
+    return [g for g, _ in FAMILY_GROUPS[:k]], utilities, policy
+
+
+def family_episode(k, alpha, delay, cap, seed, budget):
+    """One online episode of ``family_online_case``, as the frozen digests run
+    it: seed 0 traces every task, seed 1 drops the crossing task."""
+    groups, utilities, policy = family_online_case(k, alpha, delay, cap)
     return run_episode(
-        [g for g, _ in FAMILY_GROUPS[:k]], DeadlineSet(DEADLINE_GRID), utilities, policy, budget, seed,
+        groups, DeadlineSet(DEADLINE_GRID), utilities, policy, budget, seed,
         truncate_last=seed == 1, collect_trace=seed == 0,
     )
 

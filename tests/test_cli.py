@@ -363,6 +363,26 @@ def test_overflowing_moment_exits_3_naming_group_and_deadline(tmp_path, capsys, 
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("alpha", [256.0, 1024.0])
+def test_alpha_float_range(tmp_path, capsys, alpha):
+    # the config accepts any finite alpha; on the two-group Pareto config the
+    # solve's powers (r phi)^alpha still fit float64 at alpha 256, and at
+    # alpha 1024 the multiplier divides by one that underflowed to 0
+    data = json.loads((CONFIG_DIR / "two_group_offline.json").read_text())
+    data["utility"]["alpha"] = alpha
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    code = main(["offline", str(cfg), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    if alpha == 256.0:
+        assert code == 0 and err == ""
+        rows = read_rows(tmp_path / "offline.csv")
+        assert float(rows[1][rows[0].index("utility_rate")]) == pytest.approx(-3.756e153, rel=1e-3)
+    else:
+        assert code == 3 and err == "numerical failure: divide by zero encountered in scalar divide\n"
+        assert not (tmp_path / "offline.csv").exists()
+
+
 def test_floating_point_fault_exits_3(tmp_path, capsys):
     # weights 300 decades apart at alpha 2: the lighter group's time share
     # underflows to 0 and the solver's multiplier divides by it

@@ -27,6 +27,7 @@ from fairtime import (
 )
 from fairtime import offline
 from helpers import (
+    DEADLINE_GRID,
     FAMILY_GROUPS,
     LAM_ALPHA_HALF,
     MU1_STAR,
@@ -361,3 +362,24 @@ def test_srp_rates_validates_distribution():
     bad[0, 0] = 0.5
     with pytest.raises(ValueError):
         srp_group_rates(bad, groups, deadlines)
+
+
+@pytest.mark.parametrize("env", ["two_group_pareto", "family_groups"])
+def test_time_shares_approach_max_min_as_alpha_grows(env):
+    # max-min fairness equalises the rates r_k* phi_k, so phi_k is
+    # proportional to 1/r_k*; the largest gap to those shares falls as
+    # 1/alpha.  The 0.12 bound on alpha x gap holds for these weights (about
+    # 0.035 for the two groups of configs/ and 0.09 for the eight family
+    # groups); with weights 1 and 3 on the two groups it is about 0.24
+    if env == "two_group_pareto":
+        (groups, deadlines), weights = two_group_env(), (1.0, 1.0)
+    else:
+        groups, weights = zip(*FAMILY_GROUPS)
+        deadlines = DeadlineSet(DEADLINE_GRID)
+    gaps = []
+    for alpha in (4.0, 16.0, 64.0):
+        sol = solve(list(groups), deadlines, [UtilitySpec(alpha, w) for w in weights])
+        inverse_rates = 1.0 / np.array([s.rate for s in sol.stats])
+        gaps.append(np.abs(sol.time_shares - inverse_rates / inverse_rates.sum()).max())
+        assert alpha * gaps[-1] <= 0.12
+    assert gaps[0] > gaps[1] > gaps[2]

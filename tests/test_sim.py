@@ -24,7 +24,7 @@ from fairtime import (
     sim,
     solve,
 )
-from helpers import DEADLINE_GRID, episode_digest, family_srp_case, two_group_env, uniform_utilities
+from helpers import DEADLINE_GRID, episode_digest, family_srp_case, numpy_streams, two_group_env, uniform_utilities
 
 
 def unit_env():
@@ -323,7 +323,7 @@ def test_stream_words_match_seed_sequence():
     ]
     assert mismatched == []
     states = [[rng.bit_generator.state for rng in rngs] for rngs in batched]
-    assert states == [[rng.bit_generator.state for rng in sim._streams(s, 9)] for s in seeds]
+    assert states == [[rng.bit_generator.state for rng in numpy_streams(s, 9)] for s in seeds]
 
 
 @pytest.mark.parametrize("policy", ["srp", "online"])

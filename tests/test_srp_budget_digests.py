@@ -44,6 +44,7 @@ from helpers import (
     family_srp_episode,
     freeze,
     numpy_host,
+    numpy_streams,
     two_group_env,
     uniform_utilities,
 )
@@ -161,7 +162,7 @@ def test_crossing_follows_block_by_block_running_totals():
 
 @pytest.mark.parametrize("blocks", [1, 3, 16])
 def test_one_choice_draw_per_round_equals_one_per_block(blocks):
-    whole, by_block = sim._streams(7, 3)[2], sim._streams(7, 3)[2]
+    whole, by_block = numpy_streams(7, 3)[2], numpy_streams(7, 3)[2]
     round_draw = whole.random(blocks * BLOCK)
     block_draws = np.concatenate([by_block.random(BLOCK) for _ in range(blocks)])
     assert round_draw.tobytes() == block_draws.tobytes()
@@ -177,7 +178,7 @@ INTERLEAVED = {(Pareto, ScaledUniform), (Exponential, ScaledUniform), (Empirical
 def draw_in_calls(group, sizes):
     """The group's stages drawn from substream (7, 0) in calls of the given
     sizes, and the stream's next integers and double."""
-    rng = sim._streams(7, 1)[0]
+    rng = numpy_streams(7, 1)[0]
     x, r = [], []
     for size in sizes:
         x.append(sample_completions(group.completion, rng, size))
@@ -200,7 +201,7 @@ def test_empirical_draws_concatenate_at_odd_sizes():
     # waits in the bit generator, so the next call starts with it.  Draws of
     # 512 stages use whole words unless a draw is rejected (about 1e-9 each),
     # so the frozen digests could not tell a per-call buffer apart
-    rng = sim._streams(7, 1)[0]
+    rng = numpy_streams(7, 1)[0]
     rng.integers(0, 6, 3)
     assert rng.bit_generator.state["has_uint32"] == 1
     group = GroupModel(Empirical((0.5, 1.0, 2.0, 4.0, 8.0, 16.0)), PowerOfTime(0.5))
