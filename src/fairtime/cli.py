@@ -94,6 +94,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     solution = solve(cfg.groups, cfg.deadlines, cfg.utilities)
     # v applies only to the online learner; an SRP policy's CSV rows leave it blank
     policy, v = exp.policy, None
+    label = policy if isinstance(policy, str) else "srp"
     if policy == "oracle_srp":
         policy = SrpPolicy.from_solution(solution)
     elif policy == "online":
@@ -109,7 +110,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
         opt_utility_rate=solution.utility_rate,
     )
     alpha = cfg.utilities[0].alpha
-    print(f"policy={policy.label} alpha={_fmt(alpha)} budget={_fmt(exp.budget)} "
+    print(f"policy={label} alpha={_fmt(alpha)} budget={_fmt(exp.budget)} "
           f"trials={exp.trials} mean tasks/episode={mc.mean_tasks:.1f}")
     rows = [["policy", "alpha", "budget", "v", "trials", "group", "label", "mean_time_share",
              "se_time_share", "mean_reward_rate", "se_reward_rate", "utility", "regret"]]
@@ -117,7 +118,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
         print(f"  {g.label}: time share {mc.mean_time_shares[k]:.4f} "
               f"(se {mc.se_time_shares[k]:.4f}), reward rate "
               f"{mc.mean_reward_rates[k]:.4f} (se {mc.se_reward_rates[k]:.4f})")
-        rows.append([policy.label, alpha, exp.budget, "" if v is None else v, exp.trials,
+        rows.append([label, alpha, exp.budget, "" if v is None else v, exp.trials,
                      k + 1, g.label, mc.mean_time_shares[k], mc.se_time_shares[k],
                      mc.mean_reward_rates[k], mc.se_reward_rates[k],
                      mc.utility_of_mean_rates, mc.regret])
@@ -143,12 +144,9 @@ def _write_trace(cfg: ExperimentConfig, policy: OnlinePolicy, budget: float, out
     header = ["task", "group", "deadline", "elapsed", "reward"]
     header += [f"queue_{k + 1}" for k in range(K)]
     header += [f"target_rate_{k + 1}" for k in range(K)]
-    rows = [header] + [
-        [entry["task"], entry["group"] + 1, entry["deadline"], entry["elapsed"], entry["reward"]]
-        + entry["queues"].tolist() + entry["targets"].tolist()
-        for entry in result.trace
-    ]
-    _write_csv(out_dir, "trace.csv", rows, f" ({len(result.trace)} tasks, first trial)")
+    table = result.trace
+    table[:, 1] += 1  # groups are 1-based in the CSV
+    _write_csv(out_dir, "trace.csv", [header, *table.tolist()], f" ({len(table)} tasks, first trial)")
 
 
 def _cmd_regret(cfg: ExperimentConfig, out_dir: str) -> int:

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -61,7 +60,6 @@ _SEED_CHUNK = 1024  # most trials whose stream states monte_carlo computes in on
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx): the
 # entropy hash, the output hash and the pool mix
-_MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -78,7 +76,6 @@ class SrpPolicy:
 
     selection: tuple[float, ...]
     deadlines: tuple[float, ...]
-    label: str = "srp"
 
     def __post_init__(self):
         sel = tuple(float(p) for p in self.selection)
@@ -96,7 +93,7 @@ class SrpPolicy:
 
     @classmethod
     def from_solution(cls, solution: OfflineSolution) -> "SrpPolicy":
-        return cls(solution.selection, [s.deadline for s in solution.stats], label="oracle_srp")
+        return cls(solution.selection, [s.deadline for s in solution.stats])
 
     def columns(self, deadlines: DeadlineSet) -> list[int]:
         """Each group's deadline as its index in the deadline set."""
@@ -117,7 +114,6 @@ class SrpPolicy:
 @dataclass(frozen=True)
 class OnlinePolicy:
     params: LearnerParams
-    label: ClassVar[str] = "online"
 
 
 Policy = SrpPolicy | OnlinePolicy
@@ -132,7 +128,9 @@ class EpisodeResult:
     time_shares: np.ndarray    # per_group_time / total consumed time
     utility: float
     floored: bool
-    trace: list[dict] | None = None
+    # a row per traced task: task, group (0-based), deadline, elapsed, reward,
+    # the K queues after the task and the K targets of its update
+    trace: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -160,13 +158,11 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _hash_steps(h: int, mult: int):
-    """SeedSequence's successive hash constants as (xor, multiplier) pairs.
-    They do not depend on the data, so they advance as Python ints."""
-    while True:
-        step = h * mult & _MASK32
-        yield h, step
-        h = step
+def _hash_steps(init: int, mult: int, count: int):
+    """SeedSequence's first ``count`` hash steps as two (count, 1, 1) uint32 arrays: step
+    i xors with h_i and multiplies by h_(i+1), where h_0 = init and h_(i+1) = h_i * mult mod 2^32."""
+    h = np.array([init] + [mult] * count, dtype=np.uint32).cumprod(dtype=np.uint32)[:, None, None]
+    return h[:-1], h[1:]
 
 
 def _stream_words(seeds, n: int) -> np.ndarray:
@@ -177,39 +173,43 @@ def _stream_words(seeds, n: int) -> np.ndarray:
     A port of SeedSequence to uint32 arrays over seeds x keys.  The seed's
     32-bit words, zero-padded to the 4-word pool, are hashed into the pool and
     mixed; words past the fourth (seeds of 2^128 or more), then the key, are
-    mixed into every pool word; the pool is hashed out into 8 words.  Seeds
-    are grouped by their padded word count.  Arithmetic stays on arrays,
-    where uint32 wraps without a warning."""
+    mixed into every pool word; the pool is hashed out into 8 words.  Each
+    word is hashed for every pool word it feeds in one array operation over
+    their hash steps.  Seeds are grouped by their padded word count.
+    Arithmetic stays on arrays, where uint32 wraps without a warning."""
     seeds = list(seeds)
     out = np.empty((len(seeds), n, 8), dtype=np.uint32)
     keys = np.arange(n, dtype=np.uint32)
 
-    def hashmix(value, steps):
-        xor, mult = next(steps)
+    def hashmix(value, xor, mult):
         value = (value ^ xor) * mult
-        return value ^ (value >> 16)
+        value ^= value >> 16  # in place, as a 1024-seed pass's temporaries count in peak RSS
+        return value
 
     def mix(x, y):
         value = x * _MIX_L - y * _MIX_R
         return value ^ (value >> 16)
 
+    # pool word src mixes into pool word dst != src at step 4 + 3 src + dst - (dst > src)
+    cross = [[4 + 3 * src + dst - (dst > src) for dst in range(4)] for src in range(4)]
     by_size: dict[int, list[int]] = {}
     for i, s in enumerate(seeds):
         by_size.setdefault(max(4, -(-s.bit_length() // 32)), []).append(i)
     for size, rows in by_size.items():
         entropy = np.frombuffer(b"".join(seeds[i].to_bytes(4 * size, "little") for i in rows), "<u4")
         entropy = entropy.reshape(len(rows), size).T[:, :, None].astype(np.uint32)  # (word, seed, 1)
-        steps = _hash_steps(_INIT_A, _MULT_A)
-        pool = [hashmix(word, steps) for word in entropy[:4]]
-        for src in range(4):
-            for dst in range(4):
-                if src != dst:
-                    pool[dst] = mix(pool[dst], hashmix(pool[src], steps))
-        for word in [*entropy[4:], keys]:  # the key broadcasts the pool to (seed, key)
-            for dst in range(4):
-                pool[dst] = mix(pool[dst], hashmix(word, steps))
-        steps = _hash_steps(_INIT_B, _MULT_B)
-        out[rows] = np.stack([hashmix(pool[j % 4], steps) for j in range(8)], axis=-1)
+        # 4 steps hash the pool in, 12 mix it, then word i >= 4 takes steps 4i .. 4i + 3
+        xor, mult = _hash_steps(_INIT_A, _MULT_A, 4 * size + 4)
+        pool = hashmix(entropy[:4], xor[:4], mult[:4])
+        for src, (cross_xor, cross_mult) in enumerate(zip(xor[cross], mult[cross])):
+            mixed = mix(pool, hashmix(pool[src], cross_xor, cross_mult))
+            mixed[src] = pool[src]  # a pool word does not mix into itself
+            pool = mixed
+        for i, word in enumerate([*entropy[4:], keys], 4):  # the key broadcasts the pool to (seed, key)
+            pool = mix(pool, hashmix(word, xor[4 * i:4 * i + 4], mult[4 * i:4 * i + 4]))
+        xor, mult = _hash_steps(_INIT_B, _MULT_B, 8)
+        for j in (0, 4):  # the pool hashed out twice, into words 0-3 and 4-7
+            out[rows, :, j:j + 4] = hashmix(pool, xor[j:j + 4], mult[j:j + 4]).transpose(1, 2, 0)
     return out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
@@ -408,7 +408,7 @@ def _run_online(groups, deadlines, utilities, params, budget, rngs, collect_trac
     reward_tot = [0.0] * K
     total = 0.0
     n = 0
-    trace: list[dict] | None = [] if collect_trace else None
+    rows: list[tuple] = []  # the trace's, filled when collect_trace
     while total <= budget:
         # the stages do not depend on the decisions, so the learner gets a
         # whole chunk at once; it still uses stage n only from task n + delay.
@@ -427,11 +427,11 @@ def _run_online(groups, deadlines, utilities, params, budget, rngs, collect_trac
                 reward_tot[k] += reward
                 before = total
                 total += elapsed
-                if trace is not None:
-                    trace.append({"task": n, "group": k, "deadline": t, "elapsed": elapsed, "reward": reward,
-                                  "queues": learner.queues, "targets": np.array(targets)})
+                if collect_trace:
+                    rows.append((n, k, t, elapsed, reward, *learner._queues, *targets))
                 if total > budget:
                     break
+    trace = np.array(rows, dtype=np.float64) if collect_trace else None
     return (np.array(time_tot), np.array(reward_tot), n, before, total, elapsed, k, reward), trace
 
 

@@ -13,6 +13,7 @@ import json
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fairtime import (
     Constant,
@@ -60,6 +61,46 @@ FAMILY_GROUPS = [
     (GroupModel(Pareto(2.0, 2.5), ScaledUniform(0.0, 2.0), "pareto_uniform"), 1.25),
     (GroupModel(Exponential(0.25), ScaledUniform(1.0, 3.0), "exp_uniform"), 0.8),
 ]
+
+
+# random environments and policies for run_episode: every completion and
+# reward family, 1 to 8 groups with unequal weights, mixed alphas including
+# 0, delays 1 to 5, a fixed or empirical target cap, budgets from below one
+# task to about 300, SRP policies on the deadline menu, truncate_last on and off
+positive = st.floats(0.1, 5.0)
+completions = st.one_of(
+    st.builds(Pareto, st.floats(0.2, 3.0), st.floats(1.05, 3.0)),
+    st.builds(Exponential, st.floats(0.1, 3.0)),
+    st.builds(Deterministic, st.one_of(positive, st.sampled_from(DEADLINE_GRID))),  # exactly at a deadline too
+    st.builds(Empirical, st.lists(st.floats(0.05, 25.0), min_size=1, max_size=6).map(tuple)),
+)
+rewards = st.one_of(
+    st.builds(PowerOfTime, st.floats(0.0, 1.0)),
+    st.builds(Constant, st.floats(0.0, 2.0)),
+    st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(lambda b: ScaledUniform(*sorted(b))),
+)
+
+
+@st.composite
+def episodes(draw):
+    """(groups, deadline set, utilities, policy, budget, truncate_last)."""
+    k = draw(st.integers(1, 8))
+    groups = [GroupModel(draw(completions), draw(rewards), f"g{i}") for i in range(k)]
+    # a menu of one to all the grid's deadlines; a menu below a Pareto scale earns nothing
+    menu = sorted(draw(st.sets(st.sampled_from(DEADLINE_GRID), min_size=1)))
+    utilities = [UtilitySpec(draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))), draw(positive)) for _ in range(k)]
+    if draw(st.booleans()):
+        mass = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
+        if sum(mass) == 0:
+            mass = [1.0] * k
+        selection = tuple(m / sum(mass) for m in mass)
+        policy = SrpPolicy(selection, tuple(draw(st.sampled_from(menu)) for _ in range(k)))
+    else:
+        params = LearnerParams(v=draw(st.floats(0.5, 50.0)), delay=draw(st.integers(1, 5)),
+                               target_rate_cap=draw(st.sampled_from((None, 0.8))))
+        policy = OnlinePolicy(params)
+    budget = draw(st.floats(0.01, 300.0))
+    return groups, DeadlineSet(tuple(menu)), utilities, policy, budget, draw(st.booleans())
 
 
 MIXED_ALPHAS = (2.0, 0.0, 1.0, 0.5)
@@ -125,11 +166,9 @@ def episode_digest(res) -> str:
     for arr in (res.per_group_time, res.per_group_reward, res.reward_rates, res.time_shares):
         h.update(np.asarray(arr, dtype=np.float64).tobytes())
     h.update(np.float64(res.utility).tobytes() + bytes([res.floored]))
-    for row in res.trace or ():
-        h.update(np.array([row["task"], row["group"]], dtype=np.int64).tobytes())
-        h.update(np.array([row["deadline"], row["elapsed"], row["reward"]], dtype=np.float64).tobytes())
-        h.update(np.asarray(row["queues"], dtype=np.float64).tobytes())
-        h.update(np.asarray(row["targets"], dtype=np.float64).tobytes())
+    for row in () if res.trace is None else res.trace:
+        h.update(row[:2].astype(np.int64).tobytes())  # task, group
+        h.update(row[2:].tobytes())  # deadline, elapsed, reward, queues, targets
     return h.hexdigest()
 
 

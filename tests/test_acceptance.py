@@ -320,7 +320,7 @@ def test_09_queue_stability():
         OnlinePolicy(LearnerParams(v=20.0, delay=1)), 8000.0, seed=3,
         collect_trace=True,
     )
-    sums = np.array([row["queues"].sum() for row in res.trace])
+    sums = res.trace[:, 5:7].sum(axis=1)
     tail_mean = float(sums[len(sums) // 2:].mean())
     report(
         tail_mean < 10 * 20.0,

@@ -1,14 +1,15 @@
 """Invariants of ``run_episode`` over random environments and policies.
 
-Every completion and reward family, 1 to 8 groups with unequal weights,
-mixed alphas including 0, feedback delays 1 to 5, a fixed or empirical
-target cap, budgets from below one task to about 300, SRP policies on the
-deadline menu and ``truncate_last`` on and off.  Whatever the draw, the
-episode must return (its first-passage bracket held), with finite
-nonnegative rates and time shares that sum to 1 or are all 0; an online
-trace has a row per task run and finite nonnegative queues.  Beyond the
-two-group Pareto environment, an SRP's Monte Carlo reward rates match
-``srp_group_rates`` within their standard errors and the first-passage bias.
+``helpers.episodes`` draws them: every completion and reward family, 1 to 8
+groups with unequal weights, mixed alphas including 0, feedback delays 1 to
+5, a fixed or empirical target cap, budgets from below one task to about
+300, SRP policies on the deadline menu and ``truncate_last`` on and off.
+Whatever the draw, the episode must return (its first-passage bracket
+held), with finite nonnegative rates and time shares that sum to 1 or are
+all 0; an online trace has a row per task run and finite nonnegative
+queues.  Beyond the two-group Pareto environment, an SRP's Monte Carlo
+reward rates match ``srp_group_rates`` within their standard errors and the
+first-passage bias.
 """
 
 import math
@@ -25,9 +26,7 @@ from fairtime import (
     Empirical,
     Exponential,
     GroupModel,
-    LearnerParams,
     OnlinePolicy,
-    Pareto,
     PowerOfTime,
     ScaledUniform,
     SrpPolicy,
@@ -36,41 +35,7 @@ from fairtime import (
     run_episode,
     srp_group_rates,
 )
-from helpers import DEADLINE_GRID, FAMILY_GROUPS
-
-positive = st.floats(0.1, 5.0)
-completions = st.one_of(
-    st.builds(Pareto, st.floats(0.2, 3.0), st.floats(1.05, 3.0)),
-    st.builds(Exponential, st.floats(0.1, 3.0)),
-    st.builds(Deterministic, st.one_of(positive, st.sampled_from(DEADLINE_GRID))),  # exactly at a deadline too
-    st.builds(Empirical, st.lists(st.floats(0.05, 25.0), min_size=1, max_size=6).map(tuple)),
-)
-rewards = st.one_of(
-    st.builds(PowerOfTime, st.floats(0.0, 1.0)),
-    st.builds(Constant, st.floats(0.0, 2.0)),
-    st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)).map(lambda b: ScaledUniform(*sorted(b))),
-)
-
-
-@st.composite
-def episodes(draw):
-    k = draw(st.integers(1, 8))
-    groups = [GroupModel(draw(completions), draw(rewards), f"g{i}") for i in range(k)]
-    # a menu of one to all the grid's deadlines; a menu below a Pareto scale earns nothing
-    menu = sorted(draw(st.sets(st.sampled_from(DEADLINE_GRID), min_size=1)))
-    utilities = [UtilitySpec(draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))), draw(positive)) for _ in range(k)]
-    if draw(st.booleans()):
-        mass = draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))
-        if sum(mass) == 0:
-            mass = [1.0] * k
-        selection = tuple(m / sum(mass) for m in mass)
-        policy = SrpPolicy(selection, tuple(draw(st.sampled_from(menu)) for _ in range(k)))
-    else:
-        params = LearnerParams(v=draw(st.floats(0.5, 50.0)), delay=draw(st.integers(1, 5)),
-                               target_rate_cap=draw(st.sampled_from((None, 0.8))))
-        policy = OnlinePolicy(params)
-    budget = draw(st.floats(0.01, 300.0))
-    return groups, DeadlineSet(tuple(menu)), utilities, policy, budget, draw(st.booleans())
+from helpers import DEADLINE_GRID, FAMILY_GROUPS, episodes
 
 
 @settings(max_examples=200, deadline=None, database=None)
@@ -87,7 +52,7 @@ def test_episode_invariants(episode, seed):
     assert abs(total - 1.0) <= 1e-12 or not res.time_shares.any()
     if online:
         assert len(res.trace) == res.n_tasks + truncate
-        queues = np.array([row["queues"] for row in res.trace])
+        queues = res.trace[:, 5:5 + len(groups)]
         assert np.isfinite(queues).all() and (queues >= 0).all()
 
 

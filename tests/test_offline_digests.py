@@ -17,15 +17,24 @@ and empirical groups tie, and two deadlines far apart.
 
 The digests in ``data/offline_digests.json`` were written by the solver that
 scanned the deadline menu once per group outside the moment table and built
-its solution separately on the closed-form and the bisection paths.
+its solution separately on the closed-form and the bisection paths, at
+numpy's AVX-512 dispatch.  numpy's baseline loops for pow, exp and log round
+some results differently, so ``data/offline_digests_x86_v3.json`` holds the
+digests at the X86_V3 dispatch; the test computes them in a subprocess whose
+``NPY_DISABLE_CPU_FEATURES`` drops the AVX-512 targets (the variable acts on
+that process only).
 
 ``python tests/test_offline_digests.py --force`` rewrites
-``data/offline_digests.json`` from the installed solver; without ``--force``
-it refuses to overwrite the file.
+``data/offline_digests.json`` from the installed solver, and with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set it rewrites
+``data/offline_digests_x86_v3.json``; without ``--force`` it refuses to
+overwrite the file.
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,6 +44,8 @@ from fairtime import Constant, DeadlineSet, Deterministic, Exponential, GroupMod
 from helpers import DEADLINE_GRID, FAMILY_GROUPS, freeze, numpy_host
 
 DATA = Path(__file__).parent / "data" / "offline_digests.json"
+DATA_X86_V3 = DATA.with_name("offline_digests_x86_v3.json")
+X86_V3 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 MENUS = {
     "grid": DEADLINE_GRID,
@@ -94,6 +105,10 @@ def outcome_digest(menu, groups, alpha) -> str:
     return h.hexdigest()
 
 
+def digest_table() -> dict:
+    return {case_id(*case): outcome_digest(*case) for case in cases()}
+
+
 def test_offline_solutions_match_frozen_digests():
     frozen = json.loads(DATA.read_text())
     assert sorted(frozen) == sorted(case_id(*case) for case in cases())
@@ -102,5 +117,21 @@ def test_offline_solutions_match_frozen_digests():
     assert mismatched == [], numpy_host(DATA)
 
 
+def test_offline_solutions_match_frozen_digests_at_x86_v3():
+    env = dict(os.environ, **X86_V3, PYTHONPATH=os.pathsep.join(sys.path))
+    code = ("import json, helpers, test_offline_digests as t; "
+            "print(json.dumps([helpers.this_host(), t.digest_table()]))")
+    run = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    host, table = json.loads(run.stdout)
+    assert not set(X86_V3["NPY_DISABLE_CPU_FEATURES"].split()) & set(host["simd_dispatch"]), host
+    frozen = json.loads(DATA_X86_V3.read_text())
+    assert sorted(frozen) == sorted(table)
+    mismatched = [case for case, digest in table.items() if digest != frozen[case]]
+    assert mismatched == [], f"subprocess host: {host}; " + numpy_host(DATA_X86_V3)
+
+
 if __name__ == "__main__":
-    sys.exit(freeze(DATA, lambda: {case_id(*case): outcome_digest(*case) for case in cases()}))
+    at_x86_v3 = os.environ.get("NPY_DISABLE_CPU_FEATURES") == X86_V3["NPY_DISABLE_CPU_FEATURES"]
+    sys.exit(freeze(DATA_X86_V3 if at_x86_v3 else DATA, digest_table))

@@ -17,15 +17,20 @@ queues and targets traced (480 episodes); at budget 4000 once per K and
 alpha, the delay, cap and ``truncate_last`` taking each value in turn (20
 episodes); and the episodes inside one ``monte_carlo`` run from seed
 2^32 - 2 at K = 8, mixed alphas and delay 3.
+
+Both: random environments and policies from ``helpers.episodes``, the
+strategy of the episode properties, online episodes traced.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairtime import DeadlineSet, monte_carlo, run_episode, sim
-from helpers import DEADLINE_GRID, family_online_case, family_srp_case
+from fairtime import DeadlineSet, SrpPolicy, monte_carlo, run_episode, sim
+from helpers import DEADLINE_GRID, episodes, family_online_case, family_srp_case
 from reference import online_episode, srp_episode
 
 BUDGETS = (0.5, 30.0, 4000.0, 40000.0)
@@ -97,20 +102,20 @@ def test_monte_carlo_srp_episodes_match_reference(k, kind, truncate, monkeypatch
     ]
 
 
-def online_mismatch(k, alpha, delay, cap, budget, seed, truncate, traced):
+def online_mismatch(groups, utilities, policy, budget, seed, truncate, traced, menu=DEADLINE_GRID):
     """How ``run_episode`` and ``online_episode`` differ on one online case:
     "totals", the first task whose trace differs, or None."""
-    groups, utilities, policy = family_online_case(k, alpha, delay, cap)
-    res = run_episode(groups, DeadlineSet(DEADLINE_GRID), utilities, policy, budget, seed,
+    res = run_episode(groups, DeadlineSet(menu), utilities, policy, budget, seed,
                       truncate_last=truncate, collect_trace=traced)
     n, time_tot, reward_tot, trace = online_episode(
-        groups, utilities, DEADLINE_GRID, policy.params, budget, seed, truncate)
+        groups, utilities, menu, policy.params, budget, seed, truncate)
     if totals(res) != (n, time_tot.tobytes(), reward_tot.tobytes()):
         return "totals"
-    for row, (group, deadline, queues, targets) in zip(res.trace or (), trace):
-        if (row["group"], row["deadline"], row["queues"].tobytes(), row["targets"].tobytes()) != (
+    K = len(groups)
+    for row, (group, deadline, queues, targets) in zip(() if res.trace is None else res.trace, trace):
+        if (row[1], row[2], row[5:5 + K].tobytes(), row[5 + K:].tobytes()) != (
                 group, deadline, queues.tobytes(), targets.tobytes()):
-            return row["task"]
+            return int(row[0])
     return None
 
 
@@ -119,7 +124,7 @@ def test_online_episodes_match_reference(k):
     mismatched = []
     cases = itertools.product(ALPHAS, DELAYS, CAPS, (30.0, 300.0), (False, True))
     for seed, (alpha, delay, cap, budget, truncate) in enumerate(cases):
-        where = online_mismatch(k, alpha, delay, cap, budget, seed, truncate, traced=True)
+        where = online_mismatch(*family_online_case(k, alpha, delay, cap), budget, seed, truncate, traced=True)
         if where is not None:
             mismatched.append((alpha, delay, cap, budget, truncate, where))
     assert mismatched == []
@@ -130,7 +135,8 @@ def test_long_online_episodes_match_reference(k):
     mismatched = []
     for i, alpha in enumerate(ALPHAS):
         delay, cap, truncate = DELAYS[(i + k) % 3], CAPS[i % 2], (i + k) % 2 == 1
-        where = online_mismatch(k, alpha, delay, cap, 4000.0, seed=i, truncate=truncate, traced=False)
+        where = online_mismatch(*family_online_case(k, alpha, delay, cap), 4000.0, seed=i, truncate=truncate,
+                                traced=False)
         if where is not None:
             mismatched.append((alpha, delay, cap, truncate, where))
     assert mismatched == []
@@ -149,3 +155,16 @@ def test_monte_carlo_online_episodes_match_reference(monkeypatch):
             groups, utilities, DEADLINE_GRID, policy.params, budget, base_seed + i)
         expected.append((n, time_tot.tobytes(), reward_tot.tobytes()))
     assert [totals(res) for res in inside] == expected
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(episodes(), st.integers(0, 2**32))
+def test_random_episodes_match_reference(episode, seed):
+    groups, deadlines, utilities, policy, budget, truncate = episode
+    if isinstance(policy, SrpPolicy):
+        res = run_episode(groups, deadlines, utilities, policy, budget, seed, truncate_last=truncate)
+        assert totals(res) == reference_totals(policy, groups, budget, seed, truncate)
+    else:
+        where = online_mismatch(groups, utilities, policy, budget, seed, truncate, traced=True,
+                                menu=deadlines.deadlines)
+        assert where is None

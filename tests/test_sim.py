@@ -98,7 +98,9 @@ def test_srp_selection_must_be_distribution():
 
 def test_srp_policy_constants_stay_out_of_its_fields():
     a, b = SrpPolicy((0.25, 0.75), (7.0, 4.0)), SrpPolicy([0.25, 0.75], [7, 4])
-    assert [f.name for f in dataclasses.fields(SrpPolicy)] == ["selection", "deadlines", "label"]
+    assert [f.name for f in dataclasses.fields(SrpPolicy)] == ["selection", "deadlines"]
+    assert [f.name for f in dataclasses.fields(OnlinePolicy)] == ["params"]
+    assert not hasattr(a, "label") and not hasattr(OnlinePolicy, "label")
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a._bounds.tolist() == [[0.25]] and a._deadline_array.tolist() == [7.0, 4.0]
 
@@ -170,9 +172,35 @@ def test_online_trace_is_consistent_with_totals():
     assert len(res.trace) == res.n_tasks
     by_group = np.zeros(2)
     for row in res.trace:
-        by_group[row["group"]] += row["reward"]
-        assert (row["queues"] >= 0).all()
+        by_group[int(row[1])] += row[4]
+        assert (row[5:7] >= 0).all()
     assert by_group == pytest.approx(res.per_group_reward)
+
+
+@pytest.mark.parametrize("truncate", [False, True])
+def test_online_trace_is_one_float64_table(truncate, monkeypatch):
+    # trace.csv's columns, one row per task run, stacked once at the end of
+    # the episode: tracing adds one np.array call, not one per task
+    calls = []
+    real = np.array
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "array", counting)
+    groups, deadlines = two_group_env()
+    policy = OnlinePolicy(LearnerParams(v=20.0, delay=2))
+    untraced = run_episode(groups, deadlines, uniform_utilities(2.0), policy, 600.0, seed=9,
+                           truncate_last=truncate)
+    before = len(calls)
+    res = run_episode(groups, deadlines, uniform_utilities(2.0), policy, 600.0, seed=9,
+                      truncate_last=truncate, collect_trace=True)
+    assert len(calls) - before == before + 1
+    assert untraced.trace is None and res.n_tasks == untraced.n_tasks
+    assert res.trace.dtype == np.float64 and res.trace.shape == (res.n_tasks + truncate, 5 + 2 * 2)
+    assert (res.trace[:, 0] == np.arange(1, len(res.trace) + 1)).all()
+    assert set(res.trace[:, 1]) <= {0.0, 1.0} and set(res.trace[:, 2]) <= set(deadlines.deadlines)
 
 
 def test_episode_determinism():

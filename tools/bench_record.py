@@ -12,20 +12,24 @@ sides at some of the seeds, the file holds each side's end-to-end metrics per se
 and their medians, the change's median over the parent's, and each side's
 per-layer table as medians over the seeds (one traced run per seed).
 ``--tier1`` is the output of ``pytest -q --durations=N``, whose pass count,
-wall time and ``test_07`` time are recorded.  The source line counts, the
-Python and numpy versions and numpy's SIMD dispatch are this checkout's and
-this host's.
+wall time and ``test_07`` time are recorded.  The source line counts (all
+lines, and code lines: those holding a token other than a comment, outside
+docstrings), the Python and numpy versions and numpy's SIMD dispatch are this
+checkout's and this host's.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import platform
 import re
 import statistics
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +71,26 @@ def tier1(log: Path) -> dict:
     }
 
 
+def code_lines(source: str) -> int:
+    """Lines holding a token other than a comment, a newline or an indent,
+    less the lines of docstrings (a string that is the first statement of a
+    module, class or function)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0]
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
+                    and isinstance(first.value.value, str):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    skipped = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+               tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in skipped:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def host() -> dict:
     try:
         from numpy._core import _multiarray_umath as umath
@@ -103,12 +127,14 @@ def main(argv=None) -> int:
     if not workloads:
         print(f"error: no workload has a record on both sides for seeds {args.seeds}", file=sys.stderr)
         return 1
-    src = sorted((ROOT / "src" / "fairtime").glob("*.py"))
-    lines = {p.name: len(p.read_text().splitlines()) for p in src}
+    sources = {p.name: p.read_text() for p in sorted((ROOT / "src" / "fairtime").glob("*.py"))}
+    lines = {name: len(text.splitlines()) for name, text in sources.items()}
+    code = {name: code_lines(text) for name, text in sources.items()}
     bench = {
         "workloads": workloads,
         "tier1": tier1(args.tier1) if args.tier1 else None,
         "src_lines": {**lines, "total": sum(lines.values())},
+        "src_code_lines": {**code, "total": sum(code.values())},
         "host": host(),
     }
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
