@@ -41,14 +41,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(out_dir: str, name: str, rows: list[list], note: str = "") -> None:
-    """Write ``rows``, the header first, to ``out_dir/name`` and print its path and ``note``."""
+def _write_csv(out_dir: str, name: str, header: list[str], rows, note: str = "") -> None:
+    """Write ``header`` and ``rows`` to ``out_dir/name`` and print its path and ``note``.
+
+    ``rows`` is a list of rows, each cell written by ``_fmt``, or a float64
+    table, written one ``"%.12g"`` format per row: the rule ``_fmt`` applies to
+    a float, so both give the same bytes.  Only mixed rows go through
+    ``csv.writer``, since a label may need quoting.
+    """
     path = os.path.join(out_dir, name)
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow([_fmt(cell) for cell in row])
+            writer.writerow(header)
+            if isinstance(rows, np.ndarray):
+                line = ",".join(["%.12g"] * rows.shape[1]) + writer.dialect.lineterminator
+                fh.writelines(line % row for row in map(tuple, rows.tolist()))
+            else:
+                for row in rows:
+                    writer.writerow([_fmt(cell) for cell in row])
     except OSError as exc:
         raise ConfigError([("out_dir", str(exc))]) from exc
     print(f"wrote {path}{note}")
@@ -56,8 +67,9 @@ def _write_csv(out_dir: str, name: str, rows: list[list], note: str = "") -> Non
 
 def _cmd_offline(cfg: ExperimentConfig, out_dir: str) -> int:
     solution = solve(cfg.groups, cfg.deadlines, cfg.utilities)
-    rows = [["group", "label", "deadline", "rate", "mean_processing_time", "mean_reward",
-             "time_share", "selection", "multiplier", "utility_rate"]]
+    header = ["group", "label", "deadline", "rate", "mean_processing_time", "mean_reward",
+              "time_share", "selection", "multiplier", "utility_rate"]
+    rows = []
     print(f"{'group':>5} {'label':>10} {'deadline':>9} {'rate':>10} "
           f"{'proc_time':>10} {'reward':>10} {'share':>8} {'select':>8}")
     for st, phi, sel in zip(solution.stats, solution.time_shares, solution.selection):
@@ -70,13 +82,14 @@ def _cmd_offline(cfg: ExperimentConfig, out_dir: str) -> int:
     print(f"utility rate = {solution.utility_rate:.10g}")
     if solution.excluded:
         print(f"excluded (no achievable reward): groups {[i + 1 for i in solution.excluded]}")
-    _write_csv(out_dir, "offline.csv", rows)
+    _write_csv(out_dir, "offline.csv", header, rows)
     return 0
 
 
 def _cmd_moments(cfg: ExperimentConfig, out_dir: str) -> int:
     mu, theta = moment_grid(cfg.groups, cfg.deadlines)
-    rows = [["group", "label", "deadline", "mean_processing_time", "expected_reward", "rate"]]
+    header = ["group", "label", "deadline", "mean_processing_time", "expected_reward", "rate"]
+    rows = []
     print(f"{'group':>5} {'label':>10} {'deadline':>9} {'proc_time':>12} "
           f"{'exp_reward':>12} {'rate':>10}")
     for k, g in enumerate(cfg.groups):
@@ -85,7 +98,7 @@ def _cmd_moments(cfg: ExperimentConfig, out_dir: str) -> int:
             print(f"{k + 1:>5} {g.label:>10} {t:>9.4g} {mu[k, j]:>12.6f} "
                   f"{theta[k, j]:>12.6f} {rate:>10.6f}")
             rows.append([k + 1, g.label, t, mu[k, j], theta[k, j], rate])
-    _write_csv(out_dir, "moments.csv", rows)
+    _write_csv(out_dir, "moments.csv", header, rows)
     return 0
 
 
@@ -112,8 +125,9 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     alpha = cfg.utilities[0].alpha
     print(f"policy={label} alpha={_fmt(alpha)} budget={_fmt(exp.budget)} "
           f"trials={exp.trials} mean tasks/episode={mc.mean_tasks:.1f}")
-    rows = [["policy", "alpha", "budget", "v", "trials", "group", "label", "mean_time_share",
-             "se_time_share", "mean_reward_rate", "se_reward_rate", "utility", "regret"]]
+    header = ["policy", "alpha", "budget", "v", "trials", "group", "label", "mean_time_share",
+              "se_time_share", "mean_reward_rate", "se_reward_rate", "utility", "regret"]
+    rows = []
     for k, g in enumerate(cfg.groups):
         print(f"  {g.label}: time share {mc.mean_time_shares[k]:.4f} "
               f"(se {mc.se_time_shares[k]:.4f}), reward rate "
@@ -128,7 +142,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     if mc.floored_frac > 0:
         print(f"note: {mc.floored_frac:.1%} of episodes had a starved group "
               "(utility evaluated at the rate floor)")
-    _write_csv(out_dir, "summary.csv", rows)
+    _write_csv(out_dir, "summary.csv", header, rows)
 
     if cfg.trace and isinstance(policy, OnlinePolicy):
         _write_trace(cfg, policy, exp.budget, out_dir)
@@ -146,7 +160,7 @@ def _write_trace(cfg: ExperimentConfig, policy: OnlinePolicy, budget: float, out
     header += [f"target_rate_{k + 1}" for k in range(K)]
     table = result.trace
     table[:, 1] += 1  # groups are 1-based in the CSV
-    _write_csv(out_dir, "trace.csv", [header, *table.tolist()], f" ({len(table)} tasks, first trial)")
+    _write_csv(out_dir, "trace.csv", header, table, f" ({len(table)} tasks, first trial)")
 
 
 def _cmd_regret(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -158,7 +172,8 @@ def _cmd_regret(cfg: ExperimentConfig, out_dir: str) -> int:
     )
     if cfg.v is None:
         print("v per point: sqrt(budget/log(budget))")
-    rows = [["budget", "v", "regret", "stderr", "slope_fit"]]
+    header = ["budget", "v", "regret", "stderr", "slope_fit"]
+    rows = []
     print(f"{'budget':>10} {'v':>8} {'regret':>12} {'stderr':>10}")
     for p in curve.points:
         note = "  (excluded from fit)" if p.excluded else ""
@@ -166,7 +181,7 @@ def _cmd_regret(cfg: ExperimentConfig, out_dir: str) -> int:
         rows.append([p.budget, p.v, p.regret, p.stderr, ""])
     print(f"log-log slope = {curve.slope:.4f}")
     rows.append(["", "", "", "", curve.slope])
-    _write_csv(out_dir, "regret.csv", rows)
+    _write_csv(out_dir, "regret.csv", header, rows)
     return 0
 
 

@@ -24,8 +24,10 @@ are running (group, deadline) sums of censored busy time and censored
 reward: all deadlines share the same sample set and no per-deadline
 exploration is needed.  These sums, and the rates reward_sums / busy_sums,
 never depend on the learner's decisions, so they are computed a block at a
-time: the carry is added into the block's first stage and one cumulative sum
-runs in place.  Each decision reads the row of the last released stage.
+time, as deadline-major, stage-last (L, K, C) arrays built straight from the
+(K, C) block: the carry is added into stage column 0 and one cumulative sum
+runs in place along the contiguous stage axis.  Each decision reads the
+stage column of the last released stage.
 
 The numpy work happens once per block.  The per-task state (queues, target
 caps, and the released stage's best rate, first best deadline and largest
@@ -34,6 +36,12 @@ float64 elements.  The one exception is the power in the target formula:
 numpy's vectorized ``pow`` (SVML on AVX-512 hosts) rounds differently from
 libm's ``**`` in a few percent of inputs, so when some alpha is neither 0
 nor 1 the raw targets still go through one ``np.power`` call per task.
+
+The fold lists each stage's per-group best rate and largest lesser rate as
+``np.maximum`` chains over the L (K, C) deadline slabs, and the first
+deadline at the best rate as a descending chain of ``rates[l] == best``
+tests, which leaves the smallest such l as argmax would.  A NaN rate makes
+the best rate NaN, and ``decide`` then never reads that deadline.
 
 ``decide`` scores each group by its multiplier times its best rate.  When
 a lesser rate's score rounds to the top score too, or a score is inf or NaN,
@@ -137,12 +145,14 @@ class OnlineLearner:
         self._ingested = 0
         self._released = 0
         self._folded = 0
-        # running sums after each stage of the last folded block (one row of
-        # zeros before the first); _fold adds the per-stage rates _rate_block
-        # and, as lists, their row maxima _best_rows, the first deadlines at
-        # them _arg_rows and the next lower rates _below_rows.  _row indexes
-        # the last released stage from the end of those blocks
-        self._busy_sums = np.zeros((1, self.n_groups, len(self._deadlines)))
+        # (deadline, group, stage) running sums after each stage of the last
+        # folded block (one stage of zeros before the first); _fold adds the
+        # rates _rate_block and, as lists, their maxima over the deadlines
+        # per stage _best_rows (decide reads every group's), and per group
+        # the first deadlines at them _arg_cols and the next lower rates
+        # _below_cols (decide reads one group's).  _row indexes the last
+        # released stage from the end of those blocks
+        self._busy_sums = np.zeros((len(self._deadlines), self.n_groups, 1))
         self._reward_sums = np.zeros_like(self._busy_sums)
         cap = FALLBACK_RATE_CAP if params.target_rate_cap is None else params.target_rate_cap
         self._caps = [float(cap)] * self.n_groups
@@ -176,25 +186,27 @@ class OnlineLearner:
         self._ingested += x.shape[1]
 
     def _fold(self, x: np.ndarray, r: np.ndarray) -> None:
-        x = x.T[:, :, None]
-        busy = np.minimum(x, self.deadline_grid)
-        reward = np.where(x <= self.deadline_grid, r.T[:, :, None], 0.0)
+        grid = self.deadline_grid[:, None, None]
+        busy = np.minimum(x, grid)
+        reward = np.where(x <= grid, r, 0.0)
         # the carry goes into the first stage: cumsum(block) + carry would
         # round differently from adding the stages one at a time
-        busy[0] += self._busy_sums[-1]
-        reward[0] += self._reward_sums[-1]
-        self._busy_sums = np.cumsum(busy, axis=0, out=busy)
-        self._reward_sums = np.cumsum(reward, axis=0, out=reward)
+        busy[:, :, 0] += self._busy_sums[:, :, -1]
+        reward[:, :, 0] += self._reward_sums[:, :, -1]
+        self._busy_sums = np.cumsum(busy, axis=2, out=busy)
+        self._reward_sums = np.cumsum(reward, axis=2, out=reward)
         rates = self._rate_block = reward / busy
-        # per stage and group: the best rate, the first deadline at it, and
-        # the largest rate below it (-inf if none); a chain of np.maximum over
-        # the short deadline axis costs a third of .max(axis=2)
-        best = reduce(np.maximum, rates.transpose(2, 0, 1))
-        below = np.where(rates < best[:, :, None], rates, -np.inf)
-        self._best_rows = best.tolist()
-        self._arg_rows = rates.argmax(axis=2).tolist()
-        self._below_rows = reduce(np.maximum, below.transpose(2, 0, 1)).tolist()
-        self._folded += x.shape[0]
+        # per group and stage: the best rate, the first deadline at it (the
+        # last == test to hit wins), and the largest rate below it (-inf if none)
+        best = reduce(np.maximum, rates)
+        arg = np.full(best.shape, len(rates) - 1)
+        for l in range(len(rates) - 2, -1, -1):
+            np.copyto(arg, l, where=rates[l] == best)
+        below = reduce(np.maximum, np.where(rates < best, rates, -np.inf))
+        self._best_rows = best.T.tolist()
+        self._arg_cols = arg.tolist()
+        self._below_cols = below.tolist()
+        self._folded += x.shape[1]
 
     @property
     def released_samples(self) -> int:
@@ -205,7 +217,9 @@ class OnlineLearner:
         grid: (mean of min(completion, t), mean censored reward at t)."""
         if self._released == 0:
             raise ValueError("no samples released yet")
-        return self._busy_sums[self._row] / self._released, self._reward_sums[self._row] / self._released
+        row = self._row
+        return (self._busy_sums[:, :, row].T / self._released,
+                self._reward_sums[:, :, row].T / self._released)
 
     # -- decisions ---------------------------------------------------------
 
@@ -244,11 +258,11 @@ class OnlineLearner:
         if total - total == 0.0:
             top = max(products)
             k = products.index(top)
-            if multipliers[k] * self._below_rows[self._row][k] != top:
-                return k, self._deadlines[self._arg_rows[self._row][k]]
+            if multipliers[k] * self._below_cols[k][self._row] != top:
+                return k, self._deadlines[self._arg_cols[k][self._row]]
         # an inf or NaN product, or a lesser rate that rounds to the top
         # product too: numpy's first arg-max of the score grid, NaN first
-        scores = self._rate_block[self._row] * np.array(multipliers)[:, None]
+        scores = self._rate_block[:, :, self._row].T * np.array(multipliers)[:, None]
         k, l = divmod(int(scores.argmax()), len(self._deadlines))
         return k, self._deadlines[l]
 

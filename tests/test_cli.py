@@ -6,9 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fairtime
+from fairtime import cli
 from fairtime.cli import main
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -391,3 +393,34 @@ def test_floating_point_fault_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, groups=groups, utility={"alpha": 2.0})
     assert main(["offline", cfg, "--out-dir", str(tmp_path)]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: divide by zero")
+
+
+def _reference_csv(path, header, rows):
+    """``rows`` written through ``csv.writer``, each cell by ``cli._fmt``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in [header, *rows]:
+            writer.writerow([cli._fmt(cell) for cell in row])
+    return path.read_bytes()
+
+
+def test_float_table_rows_match_the_cell_by_cell_writer(tmp_path):
+    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300, 2.0**53 + 1, 1e16, 0.1,
+              123456789012.5, 0.0, -1.5, 20.0]
+    table = np.array(values[:12]).reshape(4, 3)
+    header = ["a", "b", "c"]
+    cli._write_csv(str(tmp_path), "table.csv", header, table)
+    assert (tmp_path / "table.csv").read_bytes() == _reference_csv(tmp_path / "ref.csv", header, table.tolist())
+    table = np.array(values).reshape(1, -1)
+    header = [f"x{i}" for i in range(len(values))]
+    cli._write_csv(str(tmp_path), "row.csv", header, table)
+    assert (tmp_path / "row.csv").read_bytes() == _reference_csv(tmp_path / "ref.csv", header, table.tolist())
+
+
+def test_mixed_rows_keep_csv_quoting(tmp_path):
+    rows = [[1, "fast, cheap", 1.5, 0.1], [2, 'say "hi"', math.nan, -0.0]]
+    header = ["group", "label", "deadline", "rate"]
+    cli._write_csv(str(tmp_path), "mixed.csv", header, rows)
+    text = (tmp_path / "mixed.csv").read_bytes()
+    assert text == _reference_csv(tmp_path / "ref.csv", header, rows)
+    assert text.decode().splitlines()[1:] == ['1,"fast, cheap",1.5,0.1', '2,"say ""hi""",nan,-0']

@@ -15,6 +15,9 @@ delay 1, 3 and 5, the empirical and a fixed cap of 0.8, and the crossing
 task kept and discarded, at budgets 30 and 300 with every task's decision,
 queues and targets traced (480 episodes); at budget 4000 once per K and
 alpha, the delay, cap and ``truncate_last`` taking each value in turn (20
+episodes); feedback delays 257 and 600, one and two 256-stage chunks behind
+the decisions, traced once per K with the alpha, cap and ``truncate_last``
+taking values in turn, at budgets that release two chunks or more (8
 episodes); and the episodes inside one ``monte_carlo`` run from seed
 2^32 - 2 at K = 8, mixed alphas and delay 3.
 
@@ -31,7 +34,7 @@ from hypothesis import strategies as st
 
 from fairtime import DeadlineSet, SrpPolicy, monte_carlo, run_episode, sim
 from helpers import DEADLINE_GRID, episodes, family_online_case, family_srp_case
-from reference import online_episode, srp_episode
+from reference import CHUNK, online_episode, srp_episode
 
 BUDGETS = (0.5, 30.0, 4000.0, 40000.0)
 SEEDS = (0, 1, 2)
@@ -139,6 +142,21 @@ def test_long_online_episodes_match_reference(k):
                                 traced=False)
         if where is not None:
             mismatched.append((alpha, delay, cap, truncate, where))
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("delay, budget", [(257, 3000.0), (600, 5000.0)])
+def test_online_episodes_delayed_past_a_chunk_match_reference(delay, budget):
+    # the learner holds several ingested blocks and reads each released stage
+    # from the end of the block it last folded
+    mismatched = []
+    for i, (k, alpha) in enumerate(zip((1, 2, 5, 8), (0.5, 2.0, "mixed", 1.0))):
+        case = family_online_case(k, alpha, delay, CAPS[i % 2])
+        res = run_episode(case[0], DeadlineSet(DEADLINE_GRID), *case[1:], budget, seed=i)
+        assert res.n_tasks > delay + 2 * CHUNK
+        where = online_mismatch(*case, budget, seed=i, truncate=i % 2 == 1, traced=True)
+        if where is not None:
+            mismatched.append((k, alpha, where))
     assert mismatched == []
 
 

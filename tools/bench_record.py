@@ -10,7 +10,11 @@ Each directory is a checkout's ``perfbench/out``, holding
 alternating pairs on the same seeds.  For every workload recorded on both
 sides at some of the seeds, the file holds each side's end-to-end metrics per seed
 and their medians, the change's median over the parent's, and each side's
-per-layer table as medians over the seeds (one traced run per seed).
+per-layer table as medians over the seeds (one traced run per seed).  For each
+end-to-end metric it also holds what a claimed gain is judged by: the number
+of seed-matched pairs, how many of them the change won in the metric's better
+direction (``better`` in BENCHMARK.json; a tie is no win), and the parent's
+interquartile range over those seeds.
 ``--tier1`` is the output of ``pytest -q --durations=N``, whose pass count,
 wall time and ``test_07`` time are recorded.  The source line counts (all
 lines, and code lines: those holding a token other than a comment, outside
@@ -57,6 +61,29 @@ def side(out_dir: Path, workload: str, seeds: list[int]) -> dict:
         "failed_runs": sum(r["failed"] for r in records),
         "attempted_runs": sum(r["attempted"] for r in records),
     }
+
+
+def iqr(values: list[float]) -> float:
+    """The distance between the first and third quartiles, interpolated
+    linearly between order statistics (numpy's default percentile)."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
+def claim_rule(parent: dict, change: dict, better: dict[str, str]) -> dict:
+    """Per end-to-end metric: the seed-matched pairs, the change's wins among
+    them in the metric's better direction, and the parent's IQR."""
+    records = [(parent["end_to_end"][seed], change["end_to_end"][seed]) for seed in parent["end_to_end"]]
+    rule = {}
+    for name, direction in better.items():
+        pairs = [(p[name], c[name]) for p, c in records if name in p and name in c]
+        if not pairs:
+            continue
+        wins = sum(c > p if direction == "higher" else c < p for p, c in pairs)
+        rule[name] = {"pairs": len(pairs), "change_wins": wins, "parent_iqr": iqr([p for p, _ in pairs])}
+    return rule
 
 
 def tier1(log: Path) -> dict:
@@ -114,6 +141,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     workloads = {}
     for workload in WORKLOADS:
         seeds = [seed for seed in args.seeds
@@ -123,7 +152,8 @@ def main(argv=None) -> int:
         parent, change = (side(d, workload, seeds) for d in (args.parent, args.change))
         ratio = {name: change["end_to_end_median"][name] / value
                  for name, value in parent["end_to_end_median"].items() if value}
-        workloads[workload] = {"seeds": seeds, "parent": parent, "change": change, "change_over_parent": ratio}
+        workloads[workload] = {"seeds": seeds, "parent": parent, "change": change, "change_over_parent": ratio,
+                               "claim_rule": claim_rule(parent, change, better)}
     if not workloads:
         print(f"error: no workload has a record on both sides for seeds {args.seeds}", file=sys.stderr)
         return 1
