@@ -23,11 +23,13 @@ It arrives as (K, C) blocks of stages.  The learner's sufficient statistics
 are running (group, deadline) sums of censored busy time and censored
 reward: all deadlines share the same sample set and no per-deadline
 exploration is needed.  These sums, and the rates reward_sums / busy_sums,
-never depend on the learner's decisions, so they are computed a block at a
-time, as deadline-major, stage-last (L, K, C) arrays built straight from the
-(K, C) block: the carry is added into stage column 0 and one cumulative sum
-runs in place along the contiguous stage axis.  Each decision reads the
-stage column of the last released stage.
+never depend on the learner's decisions, so they are a function of the stages
+and the carried sums alone: ``fold_stages`` computes them a block at a time,
+as deadline-major, stage-last (L, K, C) arrays built straight from the (K, C)
+block: the carry is added into stage column 0 and one cumulative sum runs in
+place along the contiguous stage axis.  Any leading axes (trials, say) ride
+along as independent lanes.  Each decision reads the stage column of the last
+released stage.
 
 The numpy work happens once per block.  The per-task state (queues, target
 caps, and the released stage's best rate, first best deadline and largest
@@ -41,7 +43,9 @@ The fold lists each stage's per-group best rate and largest lesser rate as
 ``np.maximum`` chains over the L (K, C) deadline slabs, and the first
 deadline at the best rate as a descending chain of ``rates[l] == best``
 tests, which leaves the smallest such l as argmax would.  A NaN rate makes
-the best rate NaN, and ``decide`` then never reads that deadline.
+the best rate NaN, and ``decide`` then never reads that deadline.  The
+learner calls ``fold_stages`` once per block, when the block's first stage
+is due, and keeps the outputs ``decide`` and ``estimates`` read.
 
 ``decide`` scores each group by its multiplier times its best rate.  When
 a lesser rate's score rounds to the top score too, or a score is inf or NaN,
@@ -53,7 +57,9 @@ of the current queues, updates the queues with them and returns the targets
 as a list of floats.  It enters no ``np.errstate`` of its own; the engine
 holds one per chunk of tasks, and the public wrappers ``update_queues`` and
 ``target_rates`` (which returns the targets as a float64 array) each enter
-one per call.
+one per call.  ``decide``, ``ingest_feedback``, ``target_rates`` and
+``update_queues`` are the four methods ``perfbench/traced.py`` wraps by
+name, so they keep their names and signatures.
 
 When every utility is linear (alpha = 0 across the board) the queue
 machinery buys nothing: the objective is a plain weighted sum of rates, so
@@ -107,6 +113,39 @@ class LearnerParams:
             raise ValueError(f"target_rate_cap must be finite and > 0, got {self.target_rate_cap}")
 
 
+def fold_stages(x, r, grid, busy_carry, reward_carry):
+    """Fold a block of stages into running (deadline, group) sums.
+
+    ``x`` and ``r`` are ``(..., K, C)`` completions and base rewards, ``grid``
+    the L deadlines and the carries the ``(..., L, K)`` sums before the block.
+    Returns the ``(..., L, K, C)`` running censored busy and reward sums after
+    each stage and their rates, and per ``(..., K, C)`` stage the best rate,
+    the first deadline index at it and the largest rate below it (-inf if
+    none).  Leading axes are independent lanes: each gets the bits of its own
+    call.
+    """
+    g = grid[:, None, None]
+    x = x[..., None, :, :]
+    busy = np.minimum(x, g)
+    reward = np.where(x <= g, r[..., None, :, :], 0.0)
+    # the carry goes into the first stage: cumsum(block) + carry would
+    # round differently from adding the stages one at a time
+    busy[..., 0] += busy_carry
+    reward[..., 0] += reward_carry
+    np.cumsum(busy, axis=-1, out=busy)
+    np.cumsum(reward, axis=-1, out=reward)
+    rates = reward / busy
+    # chains over the L (..., K, C) deadline slabs; the first deadline at the
+    # best rate is the last == test to hit in a descending chain
+    slabs = rates.swapaxes(0, -3)
+    best = reduce(np.maximum, slabs)
+    arg = np.full(best.shape, len(slabs) - 1)
+    for l in range(len(slabs) - 2, -1, -1):
+        np.copyto(arg, l, where=slabs[l] == best)
+    below = reduce(np.maximum, np.where(slabs < best, slabs, -np.inf))
+    return busy, reward, rates, best, arg, below
+
+
 class OnlineLearner:
     """Mutable per-episode learner state.
 
@@ -146,7 +185,7 @@ class OnlineLearner:
         self._released = 0
         self._folded = 0
         # (deadline, group, stage) running sums after each stage of the last
-        # folded block (one stage of zeros before the first); _fold adds the
+        # folded block (one stage of zeros before the first); decide keeps the
         # rates _rate_block and, as lists, their maxima over the deadlines
         # per stage _best_rows (decide reads every group's), and per group
         # the first deadlines at them _arg_cols and the next lower rates
@@ -185,29 +224,6 @@ class OnlineLearner:
         self._pending.append((x, r))
         self._ingested += x.shape[1]
 
-    def _fold(self, x: np.ndarray, r: np.ndarray) -> None:
-        grid = self.deadline_grid[:, None, None]
-        busy = np.minimum(x, grid)
-        reward = np.where(x <= grid, r, 0.0)
-        # the carry goes into the first stage: cumsum(block) + carry would
-        # round differently from adding the stages one at a time
-        busy[:, :, 0] += self._busy_sums[:, :, -1]
-        reward[:, :, 0] += self._reward_sums[:, :, -1]
-        self._busy_sums = np.cumsum(busy, axis=2, out=busy)
-        self._reward_sums = np.cumsum(reward, axis=2, out=reward)
-        rates = self._rate_block = reward / busy
-        # per group and stage: the best rate, the first deadline at it (the
-        # last == test to hit wins), and the largest rate below it (-inf if none)
-        best = reduce(np.maximum, rates)
-        arg = np.full(best.shape, len(rates) - 1)
-        for l in range(len(rates) - 2, -1, -1):
-            np.copyto(arg, l, where=rates[l] == best)
-        below = reduce(np.maximum, np.where(rates < best, rates, -np.inf))
-        self._best_rows = best.T.tolist()
-        self._arg_cols = arg.tolist()
-        self._below_cols = below.tolist()
-        self._folded += x.shape[1]
-
     @property
     def released_samples(self) -> int:
         return self._released
@@ -238,7 +254,18 @@ class OnlineLearner:
         released = min(due, self._ingested)
         if released > self._released:
             while self._folded < released:
-                self._fold(*self._pending.popleft())
+                x, r = self._pending.popleft()
+                # the fold needs only the last stage of the sums: dropping the
+                # blocks first keeps fewer blocks live, which at K = 8 spares
+                # the heap a shrink and regrow (minor page faults) per block
+                carry = self._busy_sums[:, :, -1].copy(), self._reward_sums[:, :, -1].copy()
+                self._busy_sums = self._reward_sums = None
+                self._busy_sums, self._reward_sums, self._rate_block, best, arg, below = fold_stages(
+                    x, r, self.deadline_grid, *carry)
+                self._best_rows = best.T.tolist()
+                self._arg_cols = arg.tolist()
+                self._below_cols = below.tolist()
+                self._folded += x.shape[1]
             self._released = released
             self._row = released - self._folded - 1
             if self.params.target_rate_cap is None:

@@ -276,7 +276,8 @@ def run_episode(
     for the learner.  ``rngs``, when given, replace them and must have their
     bits; ``monte_carlo`` passes them precomputed.
     """
-    if not (budget > 0 and math.isfinite(budget)):
+    # bool is a number, but budget=True would run as 1.0
+    if isinstance(budget, bool) or not (budget > 0 and math.isfinite(budget)):
         raise ValueError(f"budget must be positive and finite, got {budget}")
     K = len(groups)
     if rngs is None:
@@ -461,8 +462,8 @@ def monte_carlo(
     in), applying the utilities to the across-trial mean reward rates.
     """
     base_seed = _check_seed(base_seed)
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
+    if not isinstance(trials, (int, np.integer)) or trials < 2:
+        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
     if opt_utility_rate is None:
         opt_utility_rate = solve(groups, deadlines, utilities).utility_rate
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fairtime import DeadlineSet, LearnerParams, OnlineLearner, UtilitySpec
-from fairtime.learning import FALLBACK_RATE_CAP
-from helpers import MU1_AT_5
+from fairtime.learning import FALLBACK_RATE_CAP, fold_stages
+from fairtime.sim import _draw_stages
+from helpers import DEADLINE_GRID, FAMILY_GROUPS, MU1_AT_5, numpy_streams
 
 
 GRID = DeadlineSet((1.0, 2.0, 4.0))
@@ -397,3 +398,30 @@ def test_estimator_converges_to_closed_form_moment():
     clipped = np.minimum(x[: lr.released_samples], 5.0)
     se = clipped.std(ddof=1) / np.sqrt(len(clipped))
     assert abs(lr.estimates()[0][0, 0] - MU1_AT_5) < 3 * se
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_fold_stages_over_a_trial_axis_matches_single_calls(k):
+    # T trials folded as one (T, K, C) block over three chained chunks give
+    # each trial's own call byte for byte; trial 3's second chunk holds an inf
+    # completion and an inf base reward inside the menu, so rates reach inf
+    groups = [g for g, _ in FAMILY_GROUPS[:k]]
+    grid = np.array(DEADLINE_GRID)
+    trials, chunks, shape = 7, 3, (len(grid), k)
+    streams = [numpy_streams(t, k) for t in range(trials)]
+    carries = np.zeros((2, trials) + shape)
+    single = [(np.zeros(shape), np.zeros(shape)) for _ in range(trials)]
+    for c in range(chunks):
+        x, r = map(np.stack, zip(*(_draw_stages(groups, rngs, 256) for rngs in streams)))
+        if c == 1:
+            x[3, 0, 10] = np.inf
+            x[3, k - 1, 20], r[3, k - 1, 20] = 1.0, np.inf
+        stacked = fold_stages(x, r, grid, *carries)
+        for t in range(trials):
+            alone = fold_stages(x[t], r[t], grid, *single[t])
+            for a, b in zip(stacked, alone):
+                assert a[t].shape == b.shape and a.dtype == b.dtype
+                assert a[t].tobytes() == b.tobytes()
+            single[t] = alone[0][..., -1], alone[1][..., -1]
+        carries = stacked[0][..., -1], stacked[1][..., -1]
+    assert np.isinf(stacked[3][3, k - 1]).all()

@@ -107,8 +107,8 @@ def test_srp_policy_constants_stay_out_of_its_fields():
 
 def test_budget_validation():
     groups, dl, us = unit_env()
-    for bad in (0.0, -1.0, math.inf):
-        with pytest.raises(ValueError):
+    for bad in (0.0, -1.0, math.inf, True):
+        with pytest.raises(ValueError, match="budget must be positive"):
             run_episode(groups, dl, us, unit_policy(), bad, seed=0)
 
 
@@ -374,14 +374,31 @@ def test_monte_carlo_matches_standalone_across_seed_chunks(policy, monkeypatch):
     assert [episode_digest(res) for res in inside] == [episode_digest(res) for res in alone]
 
 
-@pytest.mark.parametrize("base_seed", [True, 1.5, -1], ids=["bool", "float", "negative"])
-def test_monte_carlo_and_regret_curve_check_base_seed(base_seed):
+@pytest.mark.parametrize("base_seed, trials, message", [
+    (True, 2, "seed must be >= 0"),
+    (1.5, 2, "seed must be >= 0"),
+    (-1, 2, "seed must be >= 0"),
+    (0, 1, "trials must be an integer >= 2"),
+    (0, 2.0, "trials must be an integer >= 2"),
+    (0, 2.5, "trials must be an integer >= 2"),
+    (0, "3", "trials must be an integer >= 2"),
+    (0, True, "trials must be an integer >= 2"),
+], ids=["bool", "float", "negative", "one_trial", "float_trials", "fractional_trials", "str_trials",
+        "bool_trials"])
+def test_monte_carlo_and_regret_curve_check_base_seed_and_trials(base_seed, trials, message):
     groups, deadlines = two_group_env()
     us = uniform_utilities(1.0)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        monte_carlo(groups, deadlines, us, SrpPolicy((0.5, 0.5), (7.0, 4.0)), 50.0, 2, base_seed)
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        regret_curve(groups, deadlines, us, [10, 40, 160, 640], 2, base_seed)
+    with pytest.raises(ValueError, match=message):
+        monte_carlo(groups, deadlines, us, SrpPolicy((0.5, 0.5), (7.0, 4.0)), 50.0, trials, base_seed)
+    with pytest.raises(ValueError, match=message):
+        regret_curve(groups, deadlines, us, [10, 40, 160, 640], trials, base_seed)
+
+
+def test_monte_carlo_accepts_numpy_integer_trials():
+    groups, deadlines = two_group_env()
+    mc = monte_carlo(groups, deadlines, uniform_utilities(1.0), SrpPolicy((0.5, 0.5), (7.0, 4.0)),
+                     50.0, np.int64(2), 0)
+    assert mc.trials == 2
 
 
 def test_srp_monte_carlo_builds_no_selection_matrix(monkeypatch):
