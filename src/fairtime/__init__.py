@@ -39,7 +39,6 @@ from .offline import (
 from .sim import (
     EpisodeResult,
     McSummary,
-    OnlinePolicy,
     RegretCurve,
     RegretPoint,
     SrpPolicy,
@@ -69,7 +68,6 @@ __all__ = [
     "NumericalError",
     "OfflineSolution",
     "OnlineLearner",
-    "OnlinePolicy",
     "Pareto",
     "PowerOfTime",
     "RATE_FLOOR",

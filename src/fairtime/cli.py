@@ -32,7 +32,7 @@ from .config import (
 )
 from .learning import LearnerParams
 from .offline import NumericalError, moment_grid, solve
-from .sim import OnlinePolicy, SrpPolicy, default_v, monte_carlo, regret_curve, run_episode
+from .sim import SrpPolicy, default_v, monte_carlo, regret_curve, run_episode
 
 
 def _fmt(x) -> str:
@@ -115,8 +115,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
         if v is None:
             v = default_v(exp.budget)
             print(f"v = {_fmt(v)} (auto: sqrt(budget/log(budget)))")
-        policy = OnlinePolicy(LearnerParams(v=v, delay=cfg.feedback_delay,
-                                            target_rate_cap=cfg.target_rate_cap))
+        policy = LearnerParams(v=v, delay=cfg.feedback_delay, target_rate_cap=cfg.target_rate_cap)
     mc = monte_carlo(
         cfg.groups, cfg.deadlines, cfg.utilities, policy,
         exp.budget, exp.trials, cfg.seed, truncate_last=cfg.truncate_last,
@@ -144,12 +143,12 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
               "(utility evaluated at the rate floor)")
     _write_csv(out_dir, "summary.csv", header, rows)
 
-    if cfg.trace and isinstance(policy, OnlinePolicy):
+    if cfg.trace and isinstance(policy, LearnerParams):
         _write_trace(cfg, policy, exp.budget, out_dir)
     return 0
 
 
-def _write_trace(cfg: ExperimentConfig, policy: OnlinePolicy, budget: float, out_dir: str) -> None:
+def _write_trace(cfg: ExperimentConfig, policy: LearnerParams, budget: float, out_dir: str) -> None:
     result = run_episode(
         cfg.groups, cfg.deadlines, cfg.utilities, policy, budget,
         cfg.seed, truncate_last=cfg.truncate_last, collect_trace=True,

@@ -22,16 +22,18 @@ of every group for task n only becomes usable when deciding task n + delay.
 It arrives as (K, C) blocks of stages.  The learner's sufficient statistics
 are running (group, deadline) sums of censored busy time and censored
 reward: all deadlines share the same sample set and no per-deadline
-exploration is needed.  These sums, and the rates reward_sums / busy_sums,
-never depend on the learner's decisions, so they are a function of the stages
-and the carried sums alone: ``fold_stages`` computes them a block at a time,
-as deadline-major, stage-last (L, K, C) arrays built straight from the (K, C)
-block: the carry is added into stage column 0 and one cumulative sum runs in
-place along the contiguous stage axis.  Any leading axes (trials, say) ride
-along as independent lanes.  Each decision reads the stage column of the last
-released stage.
+exploration is needed.  These sums never depend on the learner's decisions,
+so they are a function of the stages and the carried sums alone:
+``fold_stages`` computes them a block at a time, as deadline-major,
+stage-last (L, K, C) arrays built straight from the (K, C) block: the carry
+is added into stage column 0 and one cumulative sum runs in place along the
+contiguous stage axis.  Any leading axes (trials, say) ride along as
+independent lanes.  The learner keeps the running sums, not their rates, and
+folds each ingested block in pieces whose (L, K, piece) float64 blocks take
+at most ``_FOLD_BYTES``, chaining the carry; each decision reads the stage
+column of the last released stage.
 
-The numpy work happens once per block.  The per-task state (queues, target
+The numpy work happens once per piece.  The per-task state (queues, target
 caps, and the released stage's best rate, first best deadline and largest
 lesser rate per group) is Python floats, whose arithmetic has the bits of
 float64 elements.  The one exception is the power in the target formula:
@@ -44,13 +46,15 @@ The fold lists each stage's per-group best rate and largest lesser rate as
 deadline at the best rate as a descending chain of ``rates[l] == best``
 tests, which leaves the smallest such l as argmax would.  A NaN rate makes
 the best rate NaN, and ``decide`` then never reads that deadline.  The
-learner calls ``fold_stages`` once per block, when the block's first stage
+learner calls ``fold_stages`` once per piece, when the piece's first stage
 is due, and keeps the outputs ``decide`` and ``estimates`` read.
 
 ``decide`` scores each group by its multiplier times its best rate.  When
 a lesser rate's score rounds to the top score too, or a score is inf or NaN,
-it takes numpy's first arg-max of the full score grid; rounding is monotone,
-so a rounding tie resolves to the same first (group, deadline) either way.
+it divides the released stage's reward sums by its busy sums (the bits of
+the fold's rates) and takes numpy's first arg-max of the full score grid;
+rounding is monotone, so a rounding tie resolves to the same first (group,
+deadline) either way.
 
 The dual update has one implementation, ``step``: it computes the targets
 of the current queues, updates the queues with them and returns the targets
@@ -86,10 +90,20 @@ from .utility import UtilitySpec
 # cap needs at least one sample).
 FALLBACK_RATE_CAP = 1.0
 
+# Most bytes of one (L, K, piece) float64 block of a fold.  A fold allocates
+# a few such blocks; well below glibc's 128 KiB mmap and trim thresholds, the
+# heap does not shrink and regrow (minor page faults) on every fold.  At 9
+# deadlines a piece is at most 455 stages at K = 2 (the online engine's
+# 256-stage chunk stays whole) and 113 at K = 8.  cumsum is sequential, so
+# folding in pieces with the carry chained through them gives the bits of
+# one fold of the whole block.
+_FOLD_BYTES = 64 * 1024
+
 
 @dataclass(frozen=True)
 class LearnerParams:
-    """Tuning knobs for the online learner.
+    """Tuning knobs for the online learner, and the online policy that
+    ``run_episode`` and ``monte_carlo`` take.
 
     v: utility-vs-queue tradeoff weight in the dual update (> 0).
     delay: feedback delay in tasks (>= 1).
@@ -104,13 +118,14 @@ class LearnerParams:
     target_rate_cap: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.v < math.inf:
+        # bool is an int subclass, but v=True or delay=True would silently run as 1
+        if isinstance(self.v, bool) or not 0 < self.v < math.inf:
             raise ValueError(f"v must be finite and > 0, got {self.v}")
-        # bool is an int subclass, but delay=True would silently run as 1
         if not (isinstance(self.delay, int) and not isinstance(self.delay, bool) and self.delay >= 1):
             raise ValueError(f"delay must be an integer >= 1, got {self.delay}")
-        if self.target_rate_cap is not None and not 0 < self.target_rate_cap < math.inf:
-            raise ValueError(f"target_rate_cap must be finite and > 0, got {self.target_rate_cap}")
+        cap = self.target_rate_cap
+        if cap is not None and (isinstance(cap, bool) or not 0 < cap < math.inf):
+            raise ValueError(f"target_rate_cap must be finite and > 0, got {cap}")
 
 
 def fold_stages(x, r, grid, busy_carry, reward_carry):
@@ -119,7 +134,7 @@ def fold_stages(x, r, grid, busy_carry, reward_carry):
     ``x`` and ``r`` are ``(..., K, C)`` completions and base rewards, ``grid``
     the L deadlines and the carries the ``(..., L, K)`` sums before the block.
     Returns the ``(..., L, K, C)`` running censored busy and reward sums after
-    each stage and their rates, and per ``(..., K, C)`` stage the best rate,
+    each stage, and per ``(..., K, C)`` stage the best rate reward / busy,
     the first deadline index at it and the largest rate below it (-inf if
     none).  Leading axes are independent lanes: each gets the bits of its own
     call.
@@ -143,7 +158,7 @@ def fold_stages(x, r, grid, busy_carry, reward_carry):
     for l in range(len(slabs) - 2, -1, -1):
         np.copyto(arg, l, where=slabs[l] == best)
     below = reduce(np.maximum, np.where(slabs < best, slabs, -np.inf))
-    return busy, reward, rates, best, arg, below
+    return busy, reward, best, arg, below
 
 
 class OnlineLearner:
@@ -179,18 +194,19 @@ class OnlineLearner:
         # first max(delay, K) tasks cycle the groups round-robin at the
         # largest deadline (least censoring, most informative samples)
         self.cold_start_tasks = max(params.delay, self.n_groups)
-        # ingested (K, C) feedback blocks not yet folded into the sums
+        # ingested (K, <= _piece) pieces of feedback not yet folded
+        self._piece = max(1, _FOLD_BYTES // (8 * len(self._deadlines) * self.n_groups))
         self._pending: deque[tuple[np.ndarray, np.ndarray]] = deque()
         self._ingested = 0
         self._released = 0
         self._folded = 0
         # (deadline, group, stage) running sums after each stage of the last
-        # folded block (one stage of zeros before the first); decide keeps the
-        # rates _rate_block and, as lists, their maxima over the deadlines
-        # per stage _best_rows (decide reads every group's), and per group
-        # the first deadlines at them _arg_cols and the next lower rates
-        # _below_cols (decide reads one group's).  _row indexes the last
-        # released stage from the end of those blocks
+        # folded piece (one stage of zeros before the first); decide keeps,
+        # as lists, their rates' maxima over the deadlines per stage
+        # _best_rows (decide reads every group's), and per group the first
+        # deadlines at them _arg_cols and the next lower rates _below_cols
+        # (decide reads one group's).  _row indexes the last released stage
+        # from the end of the piece
         self._busy_sums = np.zeros((len(self._deadlines), self.n_groups, 1))
         self._reward_sums = np.zeros_like(self._busy_sums)
         cap = FALLBACK_RATE_CAP if params.target_rate_cap is None else params.target_rate_cap
@@ -212,7 +228,8 @@ class OnlineLearner:
 
     def ingest_feedback(self, stage: int, completions, base_rewards) -> None:
         """Buffer every group's latent (completion, base reward) for tasks
-        stage .. stage + C - 1 as a (K, C) block.  A stage is used once
+        stage .. stage + C - 1, a (K, C) block, as pieces whose (L, K, piece)
+        float64 blocks take at most ``_FOLD_BYTES``.  A stage is used once
         ``delay`` further tasks have been decided; stages must arrive in
         order."""
         if stage != self._ingested + 1:
@@ -221,7 +238,8 @@ class OnlineLearner:
         r = np.asarray(base_rewards, dtype=float)
         if x.ndim != 2 or x.shape[0] != self.n_groups or x.shape[1] == 0 or r.shape != x.shape:
             raise ValueError(f"feedback must be equal ({self.n_groups}, C >= 1) blocks")
-        self._pending.append((x, r))
+        for start in range(0, x.shape[1], self._piece):
+            self._pending.append((x[:, start:start + self._piece], r[:, start:start + self._piece]))
         self._ingested += x.shape[1]
 
     @property
@@ -255,13 +273,8 @@ class OnlineLearner:
         if released > self._released:
             while self._folded < released:
                 x, r = self._pending.popleft()
-                # the fold needs only the last stage of the sums: dropping the
-                # blocks first keeps fewer blocks live, which at K = 8 spares
-                # the heap a shrink and regrow (minor page faults) per block
-                carry = self._busy_sums[:, :, -1].copy(), self._reward_sums[:, :, -1].copy()
-                self._busy_sums = self._reward_sums = None
-                self._busy_sums, self._reward_sums, self._rate_block, best, arg, below = fold_stages(
-                    x, r, self.deadline_grid, *carry)
+                self._busy_sums, self._reward_sums, best, arg, below = fold_stages(
+                    x, r, self.deadline_grid, self._busy_sums[:, :, -1], self._reward_sums[:, :, -1])
                 self._best_rows = best.T.tolist()
                 self._arg_cols = arg.tolist()
                 self._below_cols = below.tolist()
@@ -289,7 +302,8 @@ class OnlineLearner:
                 return k, self._deadlines[self._arg_cols[k][self._row]]
         # an inf or NaN product, or a lesser rate that rounds to the top
         # product too: numpy's first arg-max of the score grid, NaN first
-        scores = self._rate_block[:, :, self._row].T * np.array(multipliers)[:, None]
+        rates = self._reward_sums[:, :, self._row] / self._busy_sums[:, :, self._row]
+        scores = rates.T * np.array(multipliers)[:, None]
         k, l = divmod(int(scores.argmax()), len(self._deadlines))
         return k, self._deadlines[l]
 

@@ -3,7 +3,9 @@
 An episode keeps assigning tasks until the cumulative occupied time first
 exceeds the budget; the crossing task is included, time and reward (matching
 the first-passage stopping rule; set ``truncate_last`` to discard it
-instead).  Per-group reward rates are totals divided by the budget.
+instead).  Per-group reward rates are totals divided by the budget.  A
+policy is an ``SrpPolicy`` (stationary randomized) or the online learner's
+``LearnerParams``.
 
 Reproducibility contract: episode ``i`` of a Monte Carlo run uses seed
 ``base_seed + i`` and is bit-identical whether run standalone or inside
@@ -17,7 +19,8 @@ seeds up to ``_SEED_CHUNK`` trials in one pass, and a standalone episode is
 a pass of one.  Stage n of every group's stream is that group's latent
 task-n sample, so the sample matrix is independent of the policy's choices.
 The online engine draws 256 stages at a time and hands each chunk to the
-learner whole; the randomized-policy engine draws in calls of 512.  Where
+learner, which folds it in pieces of at most 64 KiB per (deadline, group,
+stage) array; the randomized-policy engine draws in calls of 512.  Where
 rewards are drawn between completions (a ScaledUniform reward after Pareto,
 Exponential or Empirical completions) the call size shows in the numbers,
 so such a group's latent stages from stage 257 on differ between the two
@@ -111,12 +114,7 @@ class SrpPolicy:
         return P
 
 
-@dataclass(frozen=True)
-class OnlinePolicy:
-    params: LearnerParams
-
-
-Policy = SrpPolicy | OnlinePolicy
+Policy = SrpPolicy | LearnerParams
 
 
 @dataclass(frozen=True)
@@ -269,7 +267,8 @@ def run_episode(
     collect_trace: bool = False,
     rngs: list[np.random.Generator] | None = None,
 ) -> EpisodeResult:
-    """Run one budgeted episode under the given policy.
+    """Run one budgeted episode under the given policy: an ``SrpPolicy``, or
+    a ``LearnerParams`` for the online learner.
 
     The episode's substreams are ``next(_trial_streams(seed, 1, n))``: n is
     K + 1 for an SRP policy, whose selections come from substream K, and K
@@ -285,8 +284,8 @@ def run_episode(
     if isinstance(policy, SrpPolicy):
         totals = _run_srp(groups, deadlines, policy, budget, rngs)
         trace = None
-    elif isinstance(policy, OnlinePolicy):
-        totals, trace = _run_online(groups, deadlines, utilities, policy.params, budget, rngs, collect_trace)
+    elif isinstance(policy, LearnerParams):
+        totals, trace = _run_online(groups, deadlines, utilities, policy, budget, rngs, collect_trace)
     else:
         raise TypeError(f"unknown policy {policy!r}")
     time_tot, reward_tot, n_tasks, before, after, last_elapsed, last_group, last_reward = totals
@@ -577,7 +576,7 @@ def regret_curve(
         v = v_override if v_override is not None else default_v(b)
         params = LearnerParams(v=v, delay=delay, target_rate_cap=target_rate_cap)
         mc = monte_carlo(
-            groups, deadlines, utilities, OnlinePolicy(params), b, trials, base_seed,
+            groups, deadlines, utilities, params, b, trials, base_seed,
             truncate_last=truncate_last, opt_utility_rate=opt,
         )
         points.append(

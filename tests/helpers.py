@@ -23,7 +23,6 @@ from fairtime import (
     Exponential,
     GroupModel,
     LearnerParams,
-    OnlinePolicy,
     Pareto,
     PowerOfTime,
     ScaledUniform,
@@ -96,9 +95,8 @@ def episodes(draw):
         selection = tuple(m / sum(mass) for m in mass)
         policy = SrpPolicy(selection, tuple(draw(st.sampled_from(menu)) for _ in range(k)))
     else:
-        params = LearnerParams(v=draw(st.floats(0.5, 50.0)), delay=draw(st.integers(1, 5)),
+        policy = LearnerParams(v=draw(st.floats(0.5, 50.0)), delay=draw(st.integers(1, 5)),
                                target_rate_cap=draw(st.sampled_from((None, 0.8))))
-        policy = OnlinePolicy(params)
     budget = draw(st.floats(0.01, 300.0))
     return groups, DeadlineSet(tuple(menu)), utilities, policy, budget, draw(st.booleans())
 
@@ -112,7 +110,7 @@ def family_online_case(k, alpha, delay, cap):
     given delay and target-rate cap, as the frozen online digests run them."""
     alphas = [MIXED_ALPHAS[i % 4] if alpha == "mixed" else alpha for i in range(k)]
     utilities = [UtilitySpec(a, w) for a, (_, w) in zip(alphas, FAMILY_GROUPS)]
-    policy = OnlinePolicy(LearnerParams(v=5.0, delay=delay, target_rate_cap=cap))
+    policy = LearnerParams(v=5.0, delay=delay, target_rate_cap=cap)
     return [g for g, _ in FAMILY_GROUPS[:k]], utilities, policy
 
 

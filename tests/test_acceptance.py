@@ -21,7 +21,6 @@ from fairtime import (
     Exponential,
     GroupModel,
     LearnerParams,
-    OnlinePolicy,
     Pareto,
     PowerOfTime,
     ScaledUniform,
@@ -134,7 +133,7 @@ def _learner_shares(alpha, trials=500, budget=4000.0, v=20.0, seed=8600):
     groups, deadlines = two_group_env()
     utilities = uniform_utilities(alpha)
     mc = monte_carlo(
-        groups, deadlines, utilities, OnlinePolicy(LearnerParams(v=v, delay=1)),
+        groups, deadlines, utilities, LearnerParams(v=v, delay=1),
         budget, trials, seed,
     )
     return mc
@@ -317,7 +316,7 @@ def test_09_queue_stability():
     groups, deadlines = two_group_env()
     res = run_episode(
         groups, deadlines, uniform_utilities(1.0),
-        OnlinePolicy(LearnerParams(v=20.0, delay=1)), 8000.0, seed=3,
+        LearnerParams(v=20.0, delay=1), 8000.0, seed=3,
         collect_trace=True,
     )
     sums = res.trace[:, 5:7].sum(axis=1)

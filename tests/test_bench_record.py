@@ -60,6 +60,26 @@ def test_claim_rule_counts_pairs_wins_and_parent_iqr(tmp_path):
     assert online["change_over_parent"]["tasks_per_s"] == pytest.approx(135.0 / 105.0)
     assert bench["tier1"] == {"passed": 476, "wall_s": 67.4, "test_07_s": 18.5}
     assert bench["src_lines"]["total"] == sum(v for k, v in bench["src_lines"].items() if k != "total")
+    # tmp_path/"parent" is no checkout's perfbench/out
+    assert "parent_src_lines" not in bench and "parent_src_code_lines" not in bench
+
+
+def test_parent_checkout_line_counts(tmp_path):
+    # a parent checkout two levels above its perfbench/out, with two modules
+    parent = tmp_path / "parent_checkout" / "perfbench" / "out"
+    package = tmp_path / "parent_checkout" / "src" / "fairtime"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text('"""Doc\nstring."""\n\nX = 1  # one\n\n\ndef f():\n    """Doc."""\n    return X\n')
+    (package / "b.py").write_text("# only a comment\n")
+    write_records(parent, "online_pareto2", {1: (1.0, 1.0)})
+    write_records(tmp_path / "change", "online_pareto2", {1: (1.0, 1.0)})
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(parent), "--change", str(tmp_path / "change"),
+                              "--seeds", "1", "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["parent_src_lines"] == {"a.py": 9, "b.py": 1, "total": 10}
+    assert bench["parent_src_code_lines"] == {"a.py": 3, "b.py": 0, "total": 3}
+    assert bench["src_code_lines"] == bench_record.src_counts(TOOL.parents[1])[1]
 
 
 def test_no_shared_seed_is_an_error(tmp_path):

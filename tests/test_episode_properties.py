@@ -26,7 +26,7 @@ from fairtime import (
     Empirical,
     Exponential,
     GroupModel,
-    OnlinePolicy,
+    LearnerParams,
     PowerOfTime,
     ScaledUniform,
     SrpPolicy,
@@ -42,7 +42,7 @@ from helpers import DEADLINE_GRID, FAMILY_GROUPS, episodes
 @given(episodes(), st.integers(0, 2**32))
 def test_episode_invariants(episode, seed):
     groups, deadlines, utilities, policy, budget, truncate = episode
-    online = isinstance(policy, OnlinePolicy)
+    online = isinstance(policy, LearnerParams)
     res = run_episode(groups, deadlines, utilities, policy, budget, seed,
                       truncate_last=truncate, collect_trace=online)
     assert res.n_tasks >= 0

@@ -31,6 +31,11 @@ def test_params_validation():
         LearnerParams(v=1.0, delay=0)
     with pytest.raises(ValueError, match="delay must be an integer"):
         LearnerParams(v=5.0, delay=True)
+    # bool is an int subclass: True must not run as 1.0
+    with pytest.raises(ValueError, match="v must be finite and > 0, got True"):
+        LearnerParams(v=True)
+    with pytest.raises(ValueError, match="target_rate_cap must be finite and > 0, got True"):
+        LearnerParams(v=5.0, target_rate_cap=True)
     with pytest.raises(ValueError):
         LearnerParams(v=1.0, target_rate_cap=0.0)
 
@@ -403,7 +408,8 @@ def test_estimator_converges_to_closed_form_moment():
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
 def test_fold_stages_over_a_trial_axis_matches_single_calls(k):
     # T trials folded as one (T, K, C) block over three chained chunks give
-    # each trial's own call byte for byte; trial 3's second chunk holds an inf
+    # each trial's own call byte for byte, and so does each chunk folded as
+    # two chained 128-stage pieces; trial 3's second chunk holds an inf
     # completion and an inf base reward inside the menu, so rates reach inf
     groups = [g for g, _ in FAMILY_GROUPS[:k]]
     grid = np.array(DEADLINE_GRID)
@@ -417,6 +423,10 @@ def test_fold_stages_over_a_trial_axis_matches_single_calls(k):
             x[3, 0, 10] = np.inf
             x[3, k - 1, 20], r[3, k - 1, 20] = 1.0, np.inf
         stacked = fold_stages(x, r, grid, *carries)
+        first = fold_stages(x[..., :128], r[..., :128], grid, *carries)
+        second = fold_stages(x[..., 128:], r[..., 128:], grid, first[0][..., -1], first[1][..., -1])
+        for whole, a, b in zip(stacked, first, second):
+            assert np.concatenate((a, b), axis=-1).tobytes() == whole.tobytes()
         for t in range(trials):
             alone = fold_stages(x[t], r[t], grid, *single[t])
             for a, b in zip(stacked, alone):
@@ -424,4 +434,4 @@ def test_fold_stages_over_a_trial_axis_matches_single_calls(k):
                 assert a[t].tobytes() == b.tobytes()
             single[t] = alone[0][..., -1], alone[1][..., -1]
         carries = stacked[0][..., -1], stacked[1][..., -1]
-    assert np.isinf(stacked[3][3, k - 1]).all()
+    assert np.isinf(stacked[2][3, k - 1]).all()

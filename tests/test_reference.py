@@ -111,7 +111,7 @@ def online_mismatch(groups, utilities, policy, budget, seed, truncate, traced, m
     res = run_episode(groups, DeadlineSet(menu), utilities, policy, budget, seed,
                       truncate_last=truncate, collect_trace=traced)
     n, time_tot, reward_tot, trace = online_episode(
-        groups, utilities, menu, policy.params, budget, seed, truncate)
+        groups, utilities, menu, policy, budget, seed, truncate)
     if totals(res) != (n, time_tot.tobytes(), reward_tot.tobytes()):
         return "totals"
     K = len(groups)
@@ -170,7 +170,7 @@ def test_monte_carlo_online_episodes_match_reference(monkeypatch):
     expected = []
     for i in range(trials):
         n, time_tot, reward_tot, _ = online_episode(
-            groups, utilities, DEADLINE_GRID, policy.params, budget, base_seed + i)
+            groups, utilities, DEADLINE_GRID, policy, budget, base_seed + i)
         expected.append((n, time_tot.tobytes(), reward_tot.tobytes()))
     assert [totals(res) for res in inside] == expected
 

@@ -12,7 +12,6 @@ from fairtime import (
     Deterministic,
     GroupModel,
     LearnerParams,
-    OnlinePolicy,
     Pareto,
     PowerOfTime,
     SrpPolicy,
@@ -99,8 +98,7 @@ def test_srp_selection_must_be_distribution():
 def test_srp_policy_constants_stay_out_of_its_fields():
     a, b = SrpPolicy((0.25, 0.75), (7.0, 4.0)), SrpPolicy([0.25, 0.75], [7, 4])
     assert [f.name for f in dataclasses.fields(SrpPolicy)] == ["selection", "deadlines"]
-    assert [f.name for f in dataclasses.fields(OnlinePolicy)] == ["params"]
-    assert not hasattr(a, "label") and not hasattr(OnlinePolicy, "label")
+    assert not hasattr(a, "label")
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert a._bounds.tolist() == [[0.25]] and a._deadline_array.tolist() == [7.0, 4.0]
 
@@ -113,12 +111,12 @@ def test_budget_validation():
 
 
 @pytest.mark.parametrize("policy, utilities, seed, error, message", [
-    (OnlinePolicy(LearnerParams(v=20.0)), 2, -1, ValueError, "seed must be >= 0"),
-    (OnlinePolicy(LearnerParams(v=20.0)), 2, True, ValueError, "seed must be >= 0"),
+    (LearnerParams(v=20.0), 2, -1, ValueError, "seed must be >= 0"),
+    (LearnerParams(v=20.0), 2, True, ValueError, "seed must be >= 0"),
     (SrpPolicy((0.5, 0.5), (7.0, 4.0)), 2, 1.5, ValueError, "seed must be >= 0"),
     ("online", 2, 0, TypeError, "unknown policy"),
     (SrpPolicy((0.2, 0.3, 0.5), (7.0, 4.0, 4.0)), 2, 0, ValueError, "policy has 3 groups, environment has 2"),
-    (OnlinePolicy(LearnerParams(v=20.0)), 3, 0, ValueError, "3 utilities vs 2 groups"),
+    (LearnerParams(v=20.0), 3, 0, ValueError, "3 utilities vs 2 groups"),
 ], ids=["negative_seed", "bool_seed", "float_seed", "unknown_policy", "srp_length", "utilities_length"])
 def test_run_episode_input_checks(policy, utilities, seed, error, message):
     groups, deadlines = two_group_env()
@@ -153,7 +151,7 @@ def test_first_passage_bracket_violation_raises(monkeypatch, time_tot, last_elap
         run_episode(groups, dl, us, unit_policy(), 10.0, seed=0)
 
 
-@pytest.mark.parametrize("policy", [unit_policy(), OnlinePolicy(LearnerParams(v=20.0))], ids=["srp", "online"])
+@pytest.mark.parametrize("policy", [unit_policy(), LearnerParams(v=20.0)], ids=["srp", "online"])
 def test_crossing_at_a_rounded_running_total_keeps_the_bracket(policy):
     # running totals 0.1, 0.2, 0.30000000000000004: the third task crosses
     # budget 0.2, and the total without it, 0.3... - 0.1, rounds above 0.2
@@ -167,7 +165,7 @@ def test_crossing_at_a_rounded_running_total_keeps_the_bracket(policy):
 def test_online_trace_is_consistent_with_totals():
     groups, deadlines = two_group_env()
     us = uniform_utilities(1.0)
-    policy = OnlinePolicy(LearnerParams(v=20.0))
+    policy = LearnerParams(v=20.0)
     res = run_episode(groups, deadlines, us, policy, 150.0, seed=9, collect_trace=True)
     assert len(res.trace) == res.n_tasks
     by_group = np.zeros(2)
@@ -190,7 +188,7 @@ def test_online_trace_is_one_float64_table(truncate, monkeypatch):
 
     monkeypatch.setattr(np, "array", counting)
     groups, deadlines = two_group_env()
-    policy = OnlinePolicy(LearnerParams(v=20.0, delay=2))
+    policy = LearnerParams(v=20.0, delay=2)
     untraced = run_episode(groups, deadlines, uniform_utilities(2.0), policy, 600.0, seed=9,
                            truncate_last=truncate)
     before = len(calls)
@@ -206,7 +204,7 @@ def test_online_trace_is_one_float64_table(truncate, monkeypatch):
 def test_episode_determinism():
     groups, deadlines = two_group_env()
     us = uniform_utilities(1.0)
-    for policy in (SrpPolicy((0.4, 0.6), (7.0, 4.0)), OnlinePolicy(LearnerParams(v=20.0))):
+    for policy in (SrpPolicy((0.4, 0.6), (7.0, 4.0)), LearnerParams(v=20.0)):
         a = run_episode(groups, deadlines, us, policy, 500.0, seed=11)
         b = run_episode(groups, deadlines, us, policy, 500.0, seed=11)
         assert (a.per_group_time == b.per_group_time).all()
@@ -216,7 +214,7 @@ def test_episode_determinism():
 
 def online_peak_bytes(budget, delay):
     groups, deadlines = two_group_env()
-    policy = OnlinePolicy(LearnerParams(v=20.0, delay=delay))
+    policy = LearnerParams(v=20.0, delay=delay)
     tracemalloc.start()
     try:
         run_episode(groups, deadlines, uniform_utilities(1.0), policy, budget, seed=5)
@@ -244,7 +242,7 @@ def test_online_episode_enters_errstate_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(np, "errstate", counting_errstate)
     groups, deadlines = two_group_env()
-    policy = OnlinePolicy(LearnerParams(v=20.0))
+    policy = LearnerParams(v=20.0)
     res = run_episode(groups, deadlines, uniform_utilities(1.0), policy, 6000.0, seed=4,
                       collect_trace=True)
     assert res.n_tasks >= 2000
@@ -268,7 +266,7 @@ def test_online_episode_numpy_calls_per_task(alphas, monkeypatch):
     monkeypatch.setattr(np, "array", counting("array", np.array))
     groups, deadlines = two_group_env()
     utilities = [UtilitySpec(a, 1.0) for a in alphas]
-    policy = OnlinePolicy(LearnerParams(v=20.0))
+    policy = LearnerParams(v=20.0)
     res = run_episode(groups, deadlines, utilities, policy, 2000.0, seed=4)
     chunks = math.ceil(res.n_tasks / 256)
     powered = any(a not in (0.0, 1.0) for a in alphas)
@@ -285,7 +283,7 @@ def test_online_episode_sampling_overflow_still_warns():
         GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6), "pareto"),
     ]
     _, deadlines = two_group_env()
-    policy = OnlinePolicy(LearnerParams(v=10.0))
+    policy = LearnerParams(v=10.0)
     with pytest.warns(RuntimeWarning, match="overflow encountered in power"):
         run_episode(groups, deadlines, uniform_utilities(1.0), policy, 2000.0, seed=0)
 
@@ -298,7 +296,7 @@ def test_online_episode_overflowing_power_reward_stays_finite():
         GroupModel(Pareto(1.0, 1.2), PowerOfTime(0.6), "pareto"),
     ]
     _, deadlines = two_group_env()
-    policy = OnlinePolicy(LearnerParams(v=10.0))
+    policy = LearnerParams(v=10.0)
     for seed in (0, 1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -323,7 +321,7 @@ def test_monte_carlo_matches_standalone_episodes(monkeypatch):
         return inside[-1]
 
     monkeypatch.setattr(sim, "run_episode", recorded)
-    for policy in (SrpPolicy((0.5, 0.5), (7.0, 4.0)), OnlinePolicy(LearnerParams(v=5.0, delay=2))):
+    for policy in (SrpPolicy((0.5, 0.5), (7.0, 4.0)), LearnerParams(v=5.0, delay=2)):
         inside.clear()
         mc = monte_carlo(groups, deadlines, us, policy, 200.0, trials=3, base_seed=100)
         alone = [run_episode(groups, deadlines, us, policy, 200.0, seed=100 + i) for i in range(3)]
@@ -360,7 +358,7 @@ def test_monte_carlo_matches_standalone_across_seed_chunks(policy, monkeypatch):
     # 2^32 - 2 and 2^32 - 1, then two-word seeds
     groups, utilities, srp = family_srp_case(8, "skewed")
     deadlines = DeadlineSet(DEADLINE_GRID)
-    policy = srp if policy == "srp" else OnlinePolicy(LearnerParams(v=5.0, delay=3))
+    policy = srp if policy == "srp" else LearnerParams(v=5.0, delay=3)
     base_seed, trials, budget = 2**32 - 2, sim._SEED_CHUNK + 1, 6.0
     inside = []
 
@@ -451,7 +449,7 @@ def test_se_scales_with_trials():
 def test_learner_shares_approach_optimum_with_budget():
     groups, deadlines = two_group_env()
     us = uniform_utilities(1.0)
-    policy = OnlinePolicy(LearnerParams(v=20.0))
+    policy = LearnerParams(v=20.0)
     gaps, ses = [], []
     for budget in (250.0, 1000.0, 4000.0):
         mc = monte_carlo(groups, deadlines, us, policy, budget, trials=100, base_seed=71)
@@ -499,6 +497,6 @@ def test_single_arm_regret_is_budget_noise_only():
     groups = [GroupModel(Deterministic(2.0), Constant(1.0), "only")]
     dl = DeadlineSet((2.0,))
     us = [UtilitySpec(1.0)]
-    mc = monte_carlo(groups, dl, us, OnlinePolicy(LearnerParams(v=10.0)),
+    mc = monte_carlo(groups, dl, us, LearnerParams(v=10.0),
                      2000.0, trials=20, base_seed=2)
     assert abs(mc.regret) <= 5 / 2000.0 + 3 * mc.regret_se

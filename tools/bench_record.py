@@ -19,7 +19,10 @@ interquartile range over those seeds.
 wall time and ``test_07`` time are recorded.  The source line counts (all
 lines, and code lines: those holding a token other than a comment, outside
 docstrings), the Python and numpy versions and numpy's SIMD dispatch are this
-checkout's and this host's.
+checkout's and this host's.  When the checkout two levels above ``--parent``
+(``PARENT`` in ``PARENT/perfbench/out``) holds ``src/fairtime``, its line
+counts are recorded too, as ``parent_src_lines`` and
+``parent_src_code_lines``.
 """
 
 from __future__ import annotations
@@ -104,7 +107,8 @@ def code_lines(source: str) -> int:
     module, class or function)."""
     docstrings = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        # an empty module (one of comments only, say) has no first statement
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and node.body:
             first = node.body[0]
             if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) \
                     and isinstance(first.value.value, str):
@@ -116,6 +120,15 @@ def code_lines(source: str) -> int:
         if token.type not in skipped:
             lines.update(range(token.start[0], token.end[0] + 1))
     return len(lines - docstrings)
+
+
+def src_counts(root: Path) -> tuple[dict, dict]:
+    """All lines and code lines of each module of ``root/src/fairtime``, each
+    with its total."""
+    sources = {p.name: p.read_text() for p in sorted((root / "src" / "fairtime").glob("*.py"))}
+    lines = {name: len(text.splitlines()) for name, text in sources.items()}
+    code = {name: code_lines(text) for name, text in sources.items()}
+    return {**lines, "total": sum(lines.values())}, {**code, "total": sum(code.values())}
 
 
 def host() -> dict:
@@ -157,16 +170,17 @@ def main(argv=None) -> int:
     if not workloads:
         print(f"error: no workload has a record on both sides for seeds {args.seeds}", file=sys.stderr)
         return 1
-    sources = {p.name: p.read_text() for p in sorted((ROOT / "src" / "fairtime").glob("*.py"))}
-    lines = {name: len(text.splitlines()) for name, text in sources.items()}
-    code = {name: code_lines(text) for name, text in sources.items()}
+    lines, code = src_counts(ROOT)
     bench = {
         "workloads": workloads,
         "tier1": tier1(args.tier1) if args.tier1 else None,
-        "src_lines": {**lines, "total": sum(lines.values())},
-        "src_code_lines": {**code, "total": sum(code.values())},
-        "host": host(),
+        "src_lines": lines,
+        "src_code_lines": code,
     }
+    parent_root = args.parent.resolve().parents[1]
+    if (parent_root / "src" / "fairtime").is_dir():
+        bench["parent_src_lines"], bench["parent_src_code_lines"] = src_counts(parent_root)
+    bench["host"] = host()
     args.out.write_text(json.dumps(bench, indent=2) + "\n")
     return 0
 
