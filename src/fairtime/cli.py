@@ -35,6 +35,11 @@ from .offline import NumericalError, moment_grid, solve
 from .sim import SrpPolicy, default_v, monte_carlo, regret_curve, run_episode
 
 
+# rows of a float64 table that _write_csv lists as Python floats at once, so
+# writing a table holds one slice's objects, not the whole table's
+_TABLE_SLICE = 256
+
+
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".12g")
@@ -46,8 +51,10 @@ def _write_csv(out_dir: str, name: str, header: list[str], rows, note: str = "")
 
     ``rows`` is a list of rows, each cell written by ``_fmt``, or a float64
     table, written one ``"%.12g"`` format per row: the rule ``_fmt`` applies to
-    a float, so both give the same bytes.  Only mixed rows go through
-    ``csv.writer``, since a label may need quoting.
+    a float, so both give the same bytes.  A table is listed and written
+    ``_TABLE_SLICE`` rows at a time, so its Python objects never outnumber a
+    slice's.  Only mixed rows go through ``csv.writer``, since a label may
+    need quoting.
     """
     path = os.path.join(out_dir, name)
     try:
@@ -56,7 +63,9 @@ def _write_csv(out_dir: str, name: str, header: list[str], rows, note: str = "")
             writer.writerow(header)
             if isinstance(rows, np.ndarray):
                 line = ",".join(["%.12g"] * rows.shape[1]) + writer.dialect.lineterminator
-                fh.writelines(line % row for row in map(tuple, rows.tolist()))
+                for start in range(0, len(rows), _TABLE_SLICE):
+                    part = rows[start:start + _TABLE_SLICE].tolist()
+                    fh.writelines(line % row for row in map(tuple, part))
             else:
                 for row in rows:
                     writer.writerow([_fmt(cell) for cell in row])

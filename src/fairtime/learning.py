@@ -121,8 +121,10 @@ class LearnerParams:
         # bool is an int subclass, but v=True or delay=True would silently run as 1
         if isinstance(self.v, bool) or not 0 < self.v < math.inf:
             raise ValueError(f"v must be finite and > 0, got {self.v}")
-        if not (isinstance(self.delay, int) and not isinstance(self.delay, bool) and self.delay >= 1):
-            raise ValueError(f"delay must be an integer >= 1, got {self.delay}")
+        delay = self.delay
+        if isinstance(delay, bool) or not isinstance(delay, (int, np.integer)) or delay < 1:
+            raise ValueError(f"delay must be an integer >= 1, got {delay}")
+        object.__setattr__(self, "delay", int(delay))  # the per-task arithmetic stays on ints
         cap = self.target_rate_cap
         if cap is not None and (isinstance(cap, bool) or not 0 < cap < math.inf):
             raise ValueError(f"target_rate_cap must be finite and > 0, got {cap}")

@@ -24,7 +24,10 @@ stage) array; the randomized-policy engine draws in calls of 512.  Where
 rewards are drawn between completions (a ScaledUniform reward after Pareto,
 Exponential or Empirical completions) the call size shows in the numbers,
 so such a group's latent stages from stage 257 on differ between the two
-policies.
+policies.  A traced online episode lists each chunk's trace rows as Python
+numbers and turns them into one float64 block when the chunk ends; the
+blocks are joined once at the end, so the trace costs 8 (5 + 2K) bytes a
+task.
 
 The randomized-policy engine works in rounds of 512-stage blocks.  A round
 holds enough blocks for the remaining budget at the policy's expected time
@@ -273,14 +276,20 @@ def run_episode(
     The episode's substreams are ``next(_trial_streams(seed, 1, n))``: n is
     K + 1 for an SRP policy, whose selections come from substream K, and K
     for the learner.  ``rngs``, when given, replace them and must have their
-    bits; ``monte_carlo`` passes them precomputed.
+    bits; ``monte_carlo`` passes them precomputed.  Any other number of
+    ``rngs`` raises ValueError.
     """
     # bool is a number, but budget=True would run as 1.0
     if isinstance(budget, bool) or not (budget > 0 and math.isfinite(budget)):
         raise ValueError(f"budget must be positive and finite, got {budget}")
     K = len(groups)
+    streams = K + isinstance(policy, SrpPolicy)
     if rngs is None:
-        rngs = next(_trial_streams(_check_seed(seed), 1, K + isinstance(policy, SrpPolicy)))
+        rngs = next(_trial_streams(_check_seed(seed), 1, streams))
+    elif len(rngs) != streams:
+        # too few would leave stages undrawn, and an SRP policy would pick
+        # groups from a group's stream
+        raise ValueError(f"need {streams} generators for {K} groups, got {len(rngs)}")
     if isinstance(policy, SrpPolicy):
         totals = _run_srp(groups, deadlines, policy, budget, rngs)
         trace = None
@@ -408,7 +417,10 @@ def _run_online(groups, deadlines, utilities, params, budget, rngs, collect_trac
     reward_tot = [0.0] * K
     total = 0.0
     n = 0
-    rows: list[tuple] = []  # the trace's, filled when collect_trace
+    # the trace: each chunk's rows, flat, become one float64 block at the
+    # chunk's end, so no Python object outlives its chunk
+    cells: list = []
+    blocks: list[np.ndarray] = []
     while total <= budget:
         # the stages do not depend on the decisions, so the learner gets a
         # whole chunk at once; it still uses stage n only from task n + delay.
@@ -428,10 +440,13 @@ def _run_online(groups, deadlines, utilities, params, budget, rngs, collect_trac
                 before = total
                 total += elapsed
                 if collect_trace:
-                    rows.append((n, k, t, elapsed, reward, *learner._queues, *targets))
+                    cells += (n, k, t, elapsed, reward, *learner._queues, *targets)
                 if total > budget:
                     break
-    trace = np.array(rows, dtype=np.float64) if collect_trace else None
+        if collect_trace:
+            blocks.append(np.array(cells, dtype=np.float64).reshape(-1, 5 + 2 * K))
+            cells.clear()
+    trace = np.concatenate(blocks) if collect_trace else None
     return (np.array(time_tot), np.array(reward_tot), n, before, total, elapsed, k, reward), trace
 
 

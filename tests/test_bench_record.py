@@ -87,3 +87,14 @@ def test_no_shared_seed_is_an_error(tmp_path):
     write_records(tmp_path / "change", "online_pareto2", {2: (1.0, 1.0)})
     assert bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
                               "--seeds", "1", "2", "--out", str(tmp_path / "BENCH.json")]) == 1
+
+
+@pytest.mark.parametrize("value, recorded", [(None, False), ("", False), ("1", True), ("x", True)])
+def test_host_records_whether_bytecode_writing_is_off(monkeypatch, value, recorded):
+    # Python writes no bytecode when the variable is non-empty, and the
+    # benchmark's processes inherit it
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert bench_record.host()["PYTHONDONTWRITEBYTECODE"] is recorded

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -404,17 +405,39 @@ def _reference_csv(path, header, rows):
     return path.read_bytes()
 
 
-def test_float_table_rows_match_the_cell_by_cell_writer(tmp_path):
-    values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300, 2.0**53 + 1, 1e16, 0.1,
-              123456789012.5, 0.0, -1.5, 20.0]
-    table = np.array(values[:12]).reshape(4, 3)
-    header = ["a", "b", "c"]
+FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300, 2.0**53 + 1, 1e16, 0.1,
+          123456789012.5, 0.0, -1.5, 20.0]
+
+
+@pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 600])
+def test_float_table_rows_match_the_cell_by_cell_writer(tmp_path, n_rows):
+    # tables are written 256 rows at a time: one slice, one short of it, one
+    # past it, and a partial third; each column meets every value
+    table = np.array([np.roll(FLOATS, i) for i in range(n_rows)])
+    table[:, 0] = np.arange(1, n_rows + 1)  # the rows stay in order across slices
+    header = [f"x{i}" for i in range(len(FLOATS))]
     cli._write_csv(str(tmp_path), "table.csv", header, table)
     assert (tmp_path / "table.csv").read_bytes() == _reference_csv(tmp_path / "ref.csv", header, table.tolist())
-    table = np.array(values).reshape(1, -1)
-    header = [f"x{i}" for i in range(len(values))]
-    cli._write_csv(str(tmp_path), "row.csv", header, table)
-    assert (tmp_path / "row.csv").read_bytes() == _reference_csv(tmp_path / "ref.csv", header, table.tolist())
+    table = np.array(FLOATS[:12]).reshape(4, 3)
+    cli._write_csv(str(tmp_path), "narrow.csv", ["a", "b", "c"], table)
+    assert (tmp_path / "narrow.csv").read_bytes() == _reference_csv(tmp_path / "ref.csv", ["a", "b", "c"],
+                                                                    table.tolist())
+
+
+def test_float_table_is_written_a_slice_at_a_time(tmp_path):
+    # listing a whole 20,000-row table as Python floats held about 5x its
+    # 1.44 MB; a 256-row slice's objects take under 100 KB
+    table = np.random.default_rng(0).random((20_000, 9))
+    header = [f"x{i}" for i in range(9)]
+    cli._write_csv(str(tmp_path), "warm.csv", header, table[:300])  # warm-up
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(tmp_path), "table.csv", header, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024, peak
+    assert len((tmp_path / "table.csv").read_text().splitlines()) == 20_001
 
 
 def test_mixed_rows_keep_csv_quoting(tmp_path):

@@ -31,6 +31,12 @@ def test_params_validation():
         LearnerParams(v=1.0, delay=0)
     with pytest.raises(ValueError, match="delay must be an integer"):
         LearnerParams(v=5.0, delay=True)
+    # a numpy integer is an integer; bools, numpy's too, and floats are not
+    for bad in (np.True_, 3.0, np.int64(0), np.float64(3.0)):
+        with pytest.raises(ValueError, match="delay must be an integer >= 1"):
+            LearnerParams(v=5.0, delay=bad)
+    params = LearnerParams(v=20, delay=np.int64(3))
+    assert type(params.delay) is int and params == LearnerParams(v=20, delay=3)
     # bool is an int subclass: True must not run as 1.0
     with pytest.raises(ValueError, match="v must be finite and > 0, got True"):
         LearnerParams(v=True)

@@ -231,6 +231,45 @@ def test_online_episode_memory_does_not_grow_with_budget(delay):
     assert large <= 2 * small, (small, large)
 
 
+def test_traced_episode_holds_its_trace_as_float64_blocks():
+    # the trace costs 8 (5 + 2K) bytes a task.  Its chunk blocks and their
+    # concatenation are both live at the end, hence twice that, plus a fixed
+    # allowance: an untraced episode peaks near 350 KB.  A tuple of Python
+    # objects per task held about 280 B a row
+    groups, deadlines = two_group_env()
+    policy = LearnerParams(v=20.0)
+
+    def traced(budget):
+        return run_episode(groups, deadlines, uniform_utilities(1.0), policy, budget, seed=5, collect_trace=True)
+
+    traced(100.0)  # warm-up: first-call caches are not episode state
+    tracemalloc.start()
+    try:
+        res = traced(19000.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.trace.shape == (res.n_tasks, 9) and res.n_tasks > 8000
+    assert peak <= 2 * 8 * 9 * res.n_tasks + 512 * 1024, (res.n_tasks, peak)
+
+
+@pytest.mark.parametrize("policy", [SrpPolicy((0.4, 0.6), (7.0, 4.0)), LearnerParams(v=20.0)],
+                         ids=["srp", "online"])
+def test_episode_rejects_a_wrong_number_of_generators(policy):
+    # K + 1 for an SRP policy, whose selections take the last one; K for the learner
+    groups, deadlines = two_group_env()
+    need = len(groups) + isinstance(policy, SrpPolicy)
+    rngs = numpy_streams(3, need + 1)
+    states = [rng.bit_generator.state for rng in rngs]
+    for count in (1, need - 1, need + 1):
+        with pytest.raises(ValueError, match=f"need {need} generators for 2 groups, got {count}"):
+            run_episode(groups, deadlines, uniform_utilities(1.0), policy, 500.0, seed=3, rngs=rngs[:count])
+    assert [rng.bit_generator.state for rng in rngs] == states  # nothing was drawn
+    res = run_episode(groups, deadlines, uniform_utilities(1.0), policy, 500.0, seed=3, rngs=rngs[:need])
+    standalone = run_episode(groups, deadlines, uniform_utilities(1.0), policy, 500.0, seed=3)
+    assert episode_digest(res) == episode_digest(standalone)
+
+
 def test_online_episode_enters_errstate_once_per_chunk(monkeypatch):
     # one np.errstate per 256-task chunk, not one per task
     entries = []

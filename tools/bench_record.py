@@ -18,10 +18,11 @@ interquartile range over those seeds.
 ``--tier1`` is the output of ``pytest -q --durations=N``, whose pass count,
 wall time and ``test_07`` time are recorded.  The source line counts (all
 lines, and code lines: those holding a token other than a comment, outside
-docstrings), the Python and numpy versions and numpy's SIMD dispatch are this
-checkout's and this host's.  When the checkout two levels above ``--parent``
-(``PARENT`` in ``PARENT/perfbench/out``) holds ``src/fairtime``, its line
-counts are recorded too, as ``parent_src_lines`` and
+docstrings), the Python and numpy versions, numpy's SIMD dispatch and whether
+``PYTHONDONTWRITEBYTECODE`` is set (to a non-empty value, as Python reads it)
+are this checkout's and this host's.  When the checkout two levels above
+``--parent`` (``PARENT`` in ``PARENT/perfbench/out``) holds ``src/fairtime``,
+its line counts are recorded too, as ``parent_src_lines`` and
 ``parent_src_code_lines``.
 """
 
@@ -142,6 +143,9 @@ def host() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "simd_dispatch": [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)],
+        # a non-empty value stops every benchmark process, which inherits it,
+        # from writing bytecode, so each one compiles fairtime at import
+        "PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
     }
 
 
