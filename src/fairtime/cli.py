@@ -153,15 +153,15 @@ def _cmd_simulate(cfg: ExperimentConfig, out_dir: str) -> int:
     _write_csv(out_dir, "summary.csv", header, rows)
 
     if cfg.trace and isinstance(policy, LearnerParams):
-        _write_trace(cfg, policy, exp.budget, out_dir)
+        _write_trace(cfg, policy, out_dir)
     return 0
 
 
-def _write_trace(cfg: ExperimentConfig, policy: LearnerParams, budget: float, out_dir: str) -> None:
-    result = run_episode(
-        cfg.groups, cfg.deadlines, cfg.utilities, policy, budget,
-        cfg.seed, truncate_last=cfg.truncate_last, collect_trace=True,
-    )
+def _write_trace(cfg: ExperimentConfig, policy: LearnerParams, out_dir: str) -> None:
+    # the trace always ends with the crossing task; truncate_last would change
+    # only the episode's totals, which the trace does not write
+    result = run_episode(cfg.groups, cfg.deadlines, cfg.utilities, policy,
+                         cfg.experiment.budget, cfg.seed, collect_trace=True)
     K = len(cfg.groups)
     header = ["task", "group", "deadline", "elapsed", "reward"]
     header += [f"queue_{k + 1}" for k in range(K)]

@@ -46,9 +46,10 @@ class Pareto:
     shape: float
 
     def __post_init__(self):
-        if not 0 < self.scale < math.inf:
+        # bool is a number, but True would run as 1.0 (here and in each type below)
+        if isinstance(self.scale, (bool, np.bool_)) or not 0 < self.scale < math.inf:
             raise ValueError(f"Pareto scale must be finite and > 0, got {self.scale}")
-        if not 0 < self.shape < math.inf:
+        if isinstance(self.shape, (bool, np.bool_)) or not 0 < self.shape < math.inf:
             raise ValueError(f"Pareto shape must be finite and > 0, got {self.shape}")
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -85,7 +86,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if not 0 < self.rate < math.inf:
+        if isinstance(self.rate, (bool, np.bool_)) or not 0 < self.rate < math.inf:
             raise ValueError(f"Exponential rate must be finite and > 0, got {self.rate}")
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -126,7 +127,7 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if not 0 < self.value < math.inf:
+        if isinstance(self.value, (bool, np.bool_)) or not 0 < self.value < math.inf:
             raise ValueError(f"Deterministic value must be finite and > 0, got {self.value}")
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -154,7 +155,7 @@ class Empirical:
     def __post_init__(self):
         if len(self.samples) == 0:
             raise ValueError("Empirical needs at least one sample")
-        if not all(0 < x < math.inf for x in self.samples):
+        if not all(not isinstance(x, (bool, np.bool_)) and 0 < x < math.inf for x in self.samples):
             raise ValueError("Empirical samples must all be finite and > 0")
         object.__setattr__(self, "samples", tuple(float(x) for x in self.samples))
 
@@ -190,7 +191,7 @@ class PowerOfTime:
     exponent: float
 
     def __post_init__(self):
-        if not 0 <= self.exponent < math.inf:
+        if isinstance(self.exponent, (bool, np.bool_)) or not 0 <= self.exponent < math.inf:
             raise ValueError(f"PowerOfTime exponent must be finite and >= 0, got {self.exponent}")
 
     def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -205,7 +206,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        if not 0 <= self.value < math.inf:
+        if isinstance(self.value, (bool, np.bool_)) or not 0 <= self.value < math.inf:
             raise ValueError(f"Constant reward must be finite and >= 0, got {self.value}")
 
     def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -223,7 +224,8 @@ class ScaledUniform:
     hi: float
 
     def __post_init__(self):
-        if not 0 <= self.lo <= self.hi < math.inf:
+        if isinstance(self.lo, (bool, np.bool_)) or isinstance(self.hi, (bool, np.bool_)) \
+                or not 0 <= self.lo <= self.hi < math.inf:
             raise ValueError(f"ScaledUniform needs 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
     def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -266,7 +268,8 @@ class DeadlineSet:
         if len(self.deadlines) == 0:
             raise ValueError("DeadlineSet must be non-empty")
         values = tuple(float(t) for t in self.deadlines)
-        if not all(math.isfinite(t) and t > 0 for t in values):
+        if not all(not isinstance(t, (bool, np.bool_)) and math.isfinite(t) and t > 0
+                   for t in self.deadlines):
             raise ValueError("deadlines must be finite and > 0")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("deadlines must be strictly increasing")

@@ -63,7 +63,8 @@ holds one per chunk of tasks, and the public wrappers ``update_queues`` and
 ``target_rates`` (which returns the targets as a float64 array) each enter
 one per call.  ``decide``, ``ingest_feedback``, ``target_rates`` and
 ``update_queues`` are the four methods ``perfbench/traced.py`` wraps by
-name, so they keep their names and signatures.
+name, so they keep their names; its wrappers pass any arguments through, so
+it does not depend on their signatures.
 
 When every utility is linear (alpha = 0 across the board) the queue
 machinery buys nothing: the objective is a plain weighted sum of rates, so
@@ -118,15 +119,16 @@ class LearnerParams:
     target_rate_cap: float | None = None
 
     def __post_init__(self):
-        # bool is an int subclass, but v=True or delay=True would silently run as 1
-        if isinstance(self.v, bool) or not 0 < self.v < math.inf:
+        # bool is an int subclass and numpy's bool a number, but v=True or
+        # delay=True would silently run as 1
+        if isinstance(self.v, (bool, np.bool_)) or not 0 < self.v < math.inf:
             raise ValueError(f"v must be finite and > 0, got {self.v}")
         delay = self.delay
         if isinstance(delay, bool) or not isinstance(delay, (int, np.integer)) or delay < 1:
             raise ValueError(f"delay must be an integer >= 1, got {delay}")
         object.__setattr__(self, "delay", int(delay))  # the per-task arithmetic stays on ints
         cap = self.target_rate_cap
-        if cap is not None and (isinstance(cap, bool) or not 0 < cap < math.inf):
+        if cap is not None and (isinstance(cap, (bool, np.bool_)) or not 0 < cap < math.inf):
             raise ValueError(f"target_rate_cap must be finite and > 0, got {cap}")
 
 
@@ -228,14 +230,12 @@ class OnlineLearner:
 
     # -- feedback ----------------------------------------------------------
 
-    def ingest_feedback(self, stage: int, completions, base_rewards) -> None:
-        """Buffer every group's latent (completion, base reward) for tasks
-        stage .. stage + C - 1, a (K, C) block, as pieces whose (L, K, piece)
-        float64 blocks take at most ``_FOLD_BYTES``.  A stage is used once
-        ``delay`` further tasks have been decided; stages must arrive in
-        order."""
-        if stage != self._ingested + 1:
-            raise ValueError(f"feedback for stage {stage} out of order (expected {self._ingested + 1})")
+    def ingest_feedback(self, completions, base_rewards) -> None:
+        """Buffer every group's latent (completion, base reward) for the next
+        C stages, a (K, C) block, as pieces whose (L, K, piece) float64 blocks
+        take at most ``_FOLD_BYTES``.  Blocks arrive in stage order, the first
+        holding stage 1; a stage is used once ``delay`` further tasks have been
+        decided."""
         x = np.asarray(completions, dtype=float)
         r = np.asarray(base_rewards, dtype=float)
         if x.ndim != 2 or x.shape[0] != self.n_groups or x.shape[1] == 0 or r.shape != x.shape:

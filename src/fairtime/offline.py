@@ -107,10 +107,7 @@ def solve_fractions(
     Groups with zero rate are excluded and get phi = 0.
     """
     if any(u.alpha == 0.0 for u in utilities):
-        raise ValueError(
-            "linear utilities (alpha=0) have a degenerate KKT system; "
-            "use alpha_fair_closed_form, which dispatches to the winner-take-all rule"
-        )
+        raise ValueError("linear utilities (alpha=0) have a degenerate KKT system")
     if len(utilities) != len(stats):
         raise ValueError(f"{len(utilities)} utilities vs {len(stats)} groups")
     rates = np.array([s.rate for s in stats])
@@ -154,10 +151,8 @@ def solve_fractions(
     return phi, lam
 
 
-def alpha_fair_closed_form(
-    alpha: float, utilities: list[UtilitySpec], stats: list[GroupStats]
-) -> OfflineSolution:
-    """Direct evaluation of the alpha-fair optimum.
+def alpha_fair_closed_form(utilities: list[UtilitySpec], stats: list[GroupStats]) -> OfflineSolution:
+    """Direct evaluation of the alpha-fair optimum at the utilities' one alpha.
 
     For alpha > 0,
         phi_k       proportional to  w_k**(1/alpha) * (r_k*)**(1/alpha - 1)
@@ -165,8 +160,10 @@ def alpha_fair_closed_form(
     For alpha = 0 all mass goes to the group maximizing w_k * r_k*
     (ties toward the smallest index).
     """
-    if any(u.alpha != alpha for u in utilities):
-        raise ValueError("utilities disagree with the requested alpha")
+    alphas = {u.alpha for u in utilities}
+    if len(alphas) != 1:
+        raise ValueError(f"the closed form needs one alpha across the utilities, got {sorted(alphas)}")
+    (alpha,) = alphas
     rates = np.array([s.rate for s in stats])
     mus = np.array([s.mean_processing_time for s in stats])
     weights = np.array([u.weight for u in utilities])
@@ -230,7 +227,8 @@ def solve(
     group with no reward at any deadline gets rate 0 at the smallest deadline
     and is excluded (share 0, reported in `excluded`).  A single alpha across
     groups uses the closed form; heterogeneous strictly concave utilities use
-    the dual bisection.
+    the dual bisection, and a linear utility mixed with other alphas raises
+    ValueError.
     """
     if len(groups) != len(utilities):
         raise ValueError(f"{len(groups)} groups vs {len(utilities)} utilities")
@@ -247,7 +245,9 @@ def solve(
 
     alphas = {u.alpha for u in utilities}
     if len(alphas) == 1:
-        return alpha_fair_closed_form(alphas.pop(), utilities, stats)
+        return alpha_fair_closed_form(utilities, stats)
+    if 0.0 in alphas:
+        raise ValueError("a linear utility (alpha=0) cannot be mixed with other alphas")
     phi, lam = solve_fractions(utilities, stats)
     return _solution(utilities, stats, phi, selection_from_fractions(phi, stats), lam)
 

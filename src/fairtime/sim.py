@@ -85,9 +85,11 @@ class SrpPolicy:
 
     def __post_init__(self):
         sel = tuple(float(p) for p in self.selection)
-        if any(not p >= 0 for p in sel) or not abs(sum(sel) - 1.0) <= 1e-9:  # NaN fails too
+        # bool is a number, but True would run as 1.0
+        if any(isinstance(p, (bool, np.bool_)) for p in self.selection) \
+                or any(not p >= 0 for p in sel) or not abs(sum(sel) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError(f"selection must be a probability distribution over groups, got {sel}")
-        if len(self.deadlines) != len(sel):
+        if len(self.deadlines) != len(sel) or any(isinstance(t, (bool, np.bool_)) for t in self.deadlines):
             raise ValueError("need one deadline per group")
         object.__setattr__(self, "selection", sel)
         object.__setattr__(self, "deadlines", tuple(float(t) for t in self.deadlines))
@@ -141,8 +143,6 @@ class McSummary:
     se_reward_rates: np.ndarray
     mean_time_shares: np.ndarray
     se_time_shares: np.ndarray
-    mean_utility: float
-    se_utility: float
     utility_of_mean_rates: float
     opt_utility_rate: float
     regret: float          # opt_utility_rate - utility_of_mean_rates
@@ -279,8 +279,8 @@ def run_episode(
     bits; ``monte_carlo`` passes them precomputed.  Any other number of
     ``rngs`` raises ValueError.
     """
-    # bool is a number, but budget=True would run as 1.0
-    if isinstance(budget, bool) or not (budget > 0 and math.isfinite(budget)):
+    # bool is a number, numpy's too, but budget=True would run as 1.0
+    if isinstance(budget, (bool, np.bool_)) or not (budget > 0 and math.isfinite(budget)):
         raise ValueError(f"budget must be positive and finite, got {budget}")
     K = len(groups)
     streams = K + isinstance(policy, SrpPolicy)
@@ -426,7 +426,7 @@ def _run_online(groups, deadlines, utilities, params, budget, rngs, collect_trac
         # whole chunk at once; it still uses stage n only from task n + delay.
         # One errstate covers the chunk's tasks; a sampling overflow still warns
         x_chunk, r_chunk = _draw_stages(groups, rngs, _CHUNK)
-        learner.ingest_feedback(n + 1, x_chunk, r_chunk)
+        learner.ingest_feedback(x_chunk, r_chunk)
         xs, rs = x_chunk.tolist(), r_chunk.tolist()
         with np.errstate(divide="ignore", over="ignore"):
             for pos, n in enumerate(range(n + 1, n + 1 + _CHUNK)):
@@ -484,7 +484,6 @@ def monte_carlo(
     K = len(groups)
     rates = np.empty((trials, K))
     shares = np.empty((trials, K))
-    utils = np.empty(trials)
     tasks = np.empty(trials)
     floored = np.zeros(trials, dtype=bool)
 
@@ -496,7 +495,6 @@ def monte_carlo(
         )
         rates[i] = res.reward_rates
         shares[i] = res.time_shares
-        utils[i] = res.utility
         tasks[i] = res.n_tasks
         floored[i] = res.floored
 
@@ -512,8 +510,6 @@ def monte_carlo(
         se_reward_rates=se_rates,
         mean_time_shares=shares.mean(axis=0),
         se_time_shares=shares.std(axis=0, ddof=1) / math.sqrt(trials),
-        mean_utility=float(utils.mean()),
-        se_utility=float(utils.std(ddof=1) / math.sqrt(trials)),
         utility_of_mean_rates=util_of_mean,
         opt_utility_rate=opt_utility_rate,
         regret=opt_utility_rate - util_of_mean,
@@ -555,7 +551,7 @@ def check_budget_grid(budget_grid: list[float]) -> tuple[float, ...]:
     with at least 4 positive, finite points spanning at least 1.5 decades, so
     the slope fit has leverage."""
     grid = tuple(float(b) for b in budget_grid)
-    if not all(0 < b < math.inf for b in grid):
+    if not all(not isinstance(b, (bool, np.bool_)) and 0 < b < math.inf for b in budget_grid):
         raise ValueError("budget grid values must be positive and finite")
     if len(grid) < 4:
         raise ValueError("budget grid needs at least 4 points")

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Rates of exactly zero poison log-type utilities; aggregate statistics are
 # evaluated at this floor instead, and results carry a "floored" flag.
 RATE_FLOOR = 1e-9
@@ -27,9 +29,10 @@ class UtilitySpec:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.alpha < math.inf:
+        # bool is a number, but alpha=True would run as 1.0
+        if isinstance(self.alpha, (bool, np.bool_)) or not 0 <= self.alpha < math.inf:
             raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if not 0 < self.weight < math.inf:
+        if isinstance(self.weight, (bool, np.bool_)) or not 0 < self.weight < math.inf:
             raise ValueError(f"weight must be finite and > 0, got {self.weight}")
 
 

@@ -58,10 +58,22 @@ def test_claim_rule_counts_pairs_wins_and_parent_iqr(tmp_path):
     assert rule["success_rate"]["change_wins"] == 0
     assert "peak_rss_mb" not in rule  # no record holds it
     assert online["change_over_parent"]["tasks_per_s"] == pytest.approx(135.0 / 105.0)
-    assert bench["tier1"] == {"passed": 476, "wall_s": 67.4, "test_07_s": 18.5}
+    assert bench["tier1"] == {"passed": 476, "failed": 0, "errors": 0, "wall_s": 67.4, "test_07_s": 18.5}
     assert bench["src_lines"]["total"] == sum(v for k, v in bench["src_lines"].items() if k != "total")
     # tmp_path/"parent" is no checkout's perfbench/out
     assert "parent_src_lines" not in bench and "parent_src_code_lines" not in bench
+
+
+@pytest.mark.parametrize("summary, expected", [
+    ("2 failed, 511 passed, 1 error in 70.12s", {"passed": 511, "failed": 2, "errors": 1, "wall_s": 70.12}),
+    ("1 failed in 3.2s", {"passed": 0, "failed": 1, "errors": 0, "wall_s": 3.2}),
+    ("===== 3 passed, 2 errors, 1 warning in 1.50s (0:00:01) =====",
+     {"passed": 3, "failed": 0, "errors": 2, "wall_s": 1.5}),
+])
+def test_tier1_records_failures_and_errors(tmp_path, summary, expected):
+    log = tmp_path / "tier1.log"
+    log.write_text(f"FAILED tests/test_a.py::test_b - assert 1 == 2\n{summary}\n")
+    assert bench_record.tier1(log) == {**expected, "test_07_s": None}
 
 
 def test_parent_checkout_line_counts(tmp_path):

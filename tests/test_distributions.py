@@ -51,6 +51,21 @@ def rng(seed=0):
         lambda: DeadlineSet((1.0, 1.0)),
         lambda: DeadlineSet((0.0, 1.0)),
         lambda: DeadlineSet((1.0, math.inf)),
+        # bool is a number, numpy's too, but True must not run as 1.0
+        lambda: Pareto(True, 1.2),
+        lambda: Pareto(1.0, np.True_),
+        lambda: Exponential(True),
+        lambda: Exponential(np.True_),
+        lambda: Deterministic(True),
+        lambda: PowerOfTime(True),
+        lambda: PowerOfTime(np.True_),
+        lambda: Constant(True),
+        lambda: ScaledUniform(False, True),
+        lambda: ScaledUniform(0.5, np.True_),
+        lambda: Empirical((True, 2.0)),
+        lambda: Empirical((np.True_, 2.0)),
+        lambda: DeadlineSet((True, 2.0)),
+        lambda: DeadlineSet((np.True_, 2.0)),
     ],
 )
 def test_invalid_specs_rejected(bad):

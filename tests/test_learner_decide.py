@@ -115,7 +115,7 @@ def test_decide_is_first_argmax_of_flattened_scores(case):
     # use exactly the given stages
     delay = max(1, k - stages + 1)
     lr = OnlineLearner(utilities, DeadlineSet(menu), LearnerParams(v=1.0, delay=delay))
-    lr.ingest_feedback(1, x, r)
+    lr.ingest_feedback(x, r)
     # past the cold start with every stage released; zero time and reward
     # leave the queues alone
     for _ in range(max(stages, k)):
@@ -150,8 +150,8 @@ def test_decide_at_stages_inside_and_across_fold_pieces(seed):
     r = rng.choice([0.0, 1.0, 2.0, 0.75], size=(k, stages)) * rng.uniform(2.5, 3.5, size=(k, 1))
     utilities = [UtilitySpec(1.0, 1.0)] * k
     lr = OnlineLearner(utilities, DeadlineSet(menu), LearnerParams(v=1.0, target_rate_cap=1.0))
-    lr.ingest_feedback(1, x[:, :256], r[:, :256])
-    lr.ingest_feedback(257, x[:, 256:], r[:, 256:])
+    lr.ingest_feedback(x[:, :256], r[:, :256])
+    lr.ingest_feedback(x[:, 256:], r[:, 256:])
     piece = lr._piece
     assert piece < 150
     fallbacks = []

@@ -76,7 +76,7 @@ def test_fused_step_matches_reference_bitwise(case):
     utilities = [UtilitySpec(a, w) for a, w in zip(alphas, weights)]
     lr = OnlineLearner(utilities, DeadlineSet(GRID), LearnerParams(v=v, target_rate_cap=cap))
     # release one stage of feedback so an empirical cap comes from data
-    lr.ingest_feedback(1, x[:, None], r[:, None])
+    lr.ingest_feedback(x[:, None], r[:, None])
     lr.update_queues(0, 0.0, 0.0)
     lr.decide()
     caps = np.full(len(alphas), cap) if cap is not None else reference_empirical_caps(x, r)

@@ -18,10 +18,10 @@ def make_learner(alphas=(1.0, 1.0), weights=None, v=20.0, delay=1, cap=None, gri
     return OnlineLearner(utilities, grid, LearnerParams(v=v, delay=delay, target_rate_cap=cap))
 
 
-def feed(learner, stage, xs, rs):
-    """Ingest (K,) vectors as one stage, or (K, C) blocks as C stages."""
+def feed(learner, xs, rs):
+    """Ingest (K,) vectors as the next stage, or (K, C) blocks as the next C stages."""
     x, r = np.asarray(xs, float), np.asarray(rs, float)
-    learner.ingest_feedback(stage, x.reshape(len(x), -1), r.reshape(len(r), -1))
+    learner.ingest_feedback(x.reshape(len(x), -1), r.reshape(len(r), -1))
 
 
 def test_params_validation():
@@ -42,6 +42,11 @@ def test_params_validation():
         LearnerParams(v=True)
     with pytest.raises(ValueError, match="target_rate_cap must be finite and > 0, got True"):
         LearnerParams(v=5.0, target_rate_cap=True)
+    # numpy's bool is no int subclass, but is a number all the same
+    with pytest.raises(ValueError, match="v must be finite and > 0, got True"):
+        LearnerParams(v=np.True_)
+    with pytest.raises(ValueError, match="target_rate_cap must be finite and > 0, got True"):
+        LearnerParams(v=20, target_rate_cap=np.True_)
     with pytest.raises(ValueError):
         LearnerParams(v=1.0, target_rate_cap=0.0)
 
@@ -135,7 +140,7 @@ def test_target_rate_empirical_cap_and_fallback():
     # no samples released yet: fixed fallback cap
     assert lr.target_rates() == pytest.approx([FALLBACK_RATE_CAP] * 2)
     lr.update_queues(0, 0.0, 0.0)
-    feed(lr, 1, [1.5, 3.0], [2.0, 1.5])
+    feed(lr, [1.5, 3.0], [2.0, 1.5])
     lr.decide()  # releases the stage-1 vector
     # best empirical rate: group 0 completes by t=2 -> 2.0 / 1.5
     assert lr.target_rates()[0] == pytest.approx(2.0 / 1.5)
@@ -173,7 +178,7 @@ def test_cold_start_round_robin_max_deadline():
     assert lr.cold_start_tasks == 3                     # max(delay, K)
     assert lr.decide() == (0, 4.0)
     lr.update_queues(0, 0.0, 0.0)
-    feed(lr, 1, [1, 1, 1], [1, 1, 1])
+    feed(lr, [1, 1, 1], [1, 1, 1])
     assert lr.decide() == (1, 4.0)
 
 
@@ -183,7 +188,7 @@ def test_cold_start_covers_delay():
         k, t = lr.decide()
         assert (k, t) == ((n - 1) % 2, 4.0)
         lr.update_queues(k, 0.0, 0.0)
-        feed(lr, n, [1, 1], [1, 1])
+        feed(lr, [1, 1], [1, 1])
 
 
 def test_decide_past_cold_start_without_feedback_names_the_stage():
@@ -193,19 +198,19 @@ def test_decide_past_cold_start_without_feedback_names_the_stage():
         lr.update_queues(0, 0.0, 0.0)
     with pytest.raises(ValueError, match="needs the feedback of stage 1"):
         lr.decide()
-    feed(lr, 1, [[1, 1], [1, 1]], [[1, 1], [1, 1]])            # task 3 uses stages 1-2
+    feed(lr, [[1, 1], [1, 1]], [[1, 1], [1, 1]])            # task 3 uses stages 1-2
     assert lr.decide()[1] == 1.0
 
 
 def test_decide_with_lagging_feedback_names_the_missing_stage():
     lr = make_learner(delay=1)
-    feed(lr, 1, [1, 1], [1, 1])
+    feed(lr, [1, 1], [1, 1])
     for n in range(10):
         lr.step(n % 2, 1.0, 0.5)
     # task 11 needs stages 1-10, and only stage 1 arrived
     with pytest.raises(ValueError, match="needs the feedback of stage 2,"):
         lr.decide()
-    feed(lr, 2, np.ones((2, 9)), np.ones((2, 9)))
+    feed(lr, np.ones((2, 9)), np.ones((2, 9)))
     assert lr.decide()[0] in (0, 1)
     assert lr.released_samples == 10
 
@@ -213,10 +218,10 @@ def test_decide_with_lagging_feedback_names_the_missing_stage():
 def test_decide_dominant_group():
     lr = make_learner()
     lr.queues = [1.0, 1.0]
-    for n in range(1, 3):
+    for _ in range(2):
         lr.update_queues(lr.decide()[0], 0.0, 0.5)
         # group 0 always finishes fast with high reward; group 1 never finishes
-        feed(lr, n, [1.0, 9.0], [3.0, 1.0])
+        feed(lr, [1.0, 9.0], [3.0, 1.0])
     k, t = lr.decide()
     assert k == 0
     assert t == 1.0  # t=1 maximizes reward / busy-time for group 0
@@ -224,9 +229,9 @@ def test_decide_dominant_group():
 
 def test_decide_flips_to_starved_group():
     lr = make_learner()
-    for n in range(1, 3):
+    for _ in range(2):
         lr.update_queues(lr.decide()[0], 0.0, 0.5)
-        feed(lr, n, [1.0, 2.0], [3.0, 1.0])
+        feed(lr, [1.0, 2.0], [3.0, 1.0])
     lr.queues = [1.0, 50.0]  # group 1 has endured heavy unfairness
     assert lr.decide()[0] == 1
 
@@ -238,14 +243,14 @@ def test_decision_scale_free_in_estimates():
     # ratio, and hence every arg-max, is unchanged
     r = np.random.default_rng(32)
     plain, scaled = make_learner(), make_learner()
-    for n in range(1, 30):
+    for _ in range(29):
         x = np.array([r.uniform(0.1, 1.0), r.uniform(0.5, 5)])
         rew = r.uniform(0, 2, 2)
         base = plain.decide()
         assert scaled.decide() == base
         for lr, factor in ((plain, 1.0), (scaled, 0.125)):
             lr.update_queues(base[0], 0.0, 0.5)
-            feed(lr, n, x * [factor, 1.0], rew * [factor, 1.0])
+            feed(lr, x * [factor, 1.0], rew * [factor, 1.0])
     for lr in (plain, scaled):
         lr.queues = [1.3, 0.9]
     assert scaled.decide() == plain.decide()
@@ -258,20 +263,20 @@ def test_single_group_single_deadline_degenerates():
     grid = DeadlineSet((2.0,))
     lr = make_learner(alphas=(1.0,), grid=grid)
     r = np.random.default_rng(33)
-    for n in range(1, 50):
+    for _ in range(49):
         assert lr.decide() == (0, 2.0)
         x = float(r.exponential(1.5))
         lr.update_queues(0, min(x, 2.0), x if x <= 2.0 else 0.0)
-        feed(lr, n, [x], [x])
+        feed(lr, [x], [x])
         assert lr.queues[0] >= 0.0
 
 
 def test_greedy_mode_for_all_linear_utilities():
     lr = make_learner(alphas=(0.0, 0.0), weights=[1.0, 5.0])
     assert lr.target_rates() == pytest.approx([0.0, 0.0])
-    for n in range(1, 3):
+    for _ in range(2):
         lr.update_queues(lr.decide()[0], 0.0, 0.0)
-        feed(lr, n, [1.0, 1.0], [1.0, 1.0])
+        feed(lr, [1.0, 1.0], [1.0, 1.0])
     lr.queues = [100.0, 1.0]  # queues must not matter in greedy mode
     assert lr.decide()[0] == 1   # weight 5 wins at equal empirical rates
 
@@ -280,23 +285,9 @@ def test_greedy_mode_for_all_linear_utilities():
 # feedback buffering and estimators
 # ---------------------------------------------------------------------------
 
-def test_feedback_out_of_order_rejected():
+def test_misshapen_feedback_blocks_rejected():
     lr = make_learner()
-    feed(lr, 1, [1, 1], [1, 1])
-    with pytest.raises(ValueError):
-        feed(lr, 3, [1, 1], [1, 1])
-    with pytest.raises(ValueError):
-        feed(lr, 1, [1, 1], [1, 1])
-    with pytest.raises(ValueError):
-        lr.ingest_feedback(2, np.ones(3), np.ones(3))
-
-
-def test_feedback_blocks_rejected_out_of_order_or_misshapen():
-    lr = make_learner()
-    lr.ingest_feedback(1, np.ones((2, 4)), np.ones((2, 4)))   # stages 1..4
-    for stage in (1, 4, 6):
-        with pytest.raises(ValueError, match="out of order"):
-            lr.ingest_feedback(stage, np.ones((2, 3)), np.ones((2, 3)))
+    lr.ingest_feedback(np.ones((2, 4)), np.ones((2, 4)))   # stages 1..4
     for x, r in [
         (np.ones((3, 4)), np.ones((3, 4))),    # wrong group count
         (np.ones((2, 0)), np.ones((2, 0))),    # empty block
@@ -306,8 +297,8 @@ def test_feedback_blocks_rejected_out_of_order_or_misshapen():
         (np.ones((2, 2, 2)), np.ones((2, 2, 2))),
     ]:
         with pytest.raises(ValueError, match="feedback must be"):
-            lr.ingest_feedback(5, x, r)
-    lr.ingest_feedback(5, np.ones((2, 3)), np.ones((2, 3)))   # stages 5..7 still accepted
+            lr.ingest_feedback(x, r)
+    lr.ingest_feedback(np.ones((2, 3)), np.ones((2, 3)))   # stages 5..7 still accepted
 
 
 def test_block_feedback_matches_stage_by_stage():
@@ -321,7 +312,7 @@ def test_block_feedback_matches_stage_by_stage():
         for cuts in ([], [1, 2, 10, 11], [16], [5, 25, 39]):
             lr = make_learner(alphas=(0.5, 2.0), delay=delay)
             for lo, hi in zip([0] + cuts, cuts + [40]):
-                lr.ingest_feedback(lo + 1, x[:, lo:hi], rew[:, lo:hi])
+                lr.ingest_feedback(x[:, lo:hi], rew[:, lo:hi])
             steps = []
             for n in range(40):
                 k, t = lr.decide()
@@ -344,7 +335,7 @@ def test_infinite_completion_censored_like_a_huge_one():
     for big in (np.inf, 1e300):
         x = np.array([[0.5, big, 1.5], [1.0, big, 0.7]])
         lr = make_learner(delay=1)
-        lr.ingest_feedback(1, x, x ** b)
+        lr.ingest_feedback(x, x ** b)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(4):
@@ -363,13 +354,13 @@ def test_release_schedule_matches_delay():
             lr.decide()
             assert lr.released_samples == max(0, n - delay)
             lr.update_queues(0, 0.0, 0.0)
-            feed(lr, n, [1, 1], [1, 1])
+            feed(lr, [1, 1], [1, 1])
             assert lr.released_samples == max(0, n - delay)
 
 
 def test_estimators_need_released_samples():
     lr = make_learner(delay=3)
-    feed(lr, 1, [1, 1], [1, 1])
+    feed(lr, [1, 1], [1, 1])
     with pytest.raises(ValueError):
         lr.estimates()
 
@@ -378,12 +369,12 @@ def test_incremental_sums_match_on_demand_estimates():
     r = np.random.default_rng(34)
     lr = make_learner()
     xs, rs = [], []
-    for n in range(1, 60):
+    for _ in range(59):
         lr.decide()
         lr.update_queues(0, 0.0, 0.0)
         xs.append(r.uniform(0.2, 6, 2))
         rs.append(r.uniform(0, 2, 2))
-        feed(lr, n, xs[-1], rs[-1])
+        feed(lr, xs[-1], rs[-1])
     m = lr.released_samples
     assert m == len(xs) - 1  # delay 1: the last stage is still pending
     busy, reward = lr.estimates()
@@ -401,10 +392,10 @@ def test_estimator_converges_to_closed_form_moment():
     grid = DeadlineSet((5.0,))
     lr = make_learner(alphas=(1.0,), grid=grid)
     x = 1.0 * (1.0 - r.random(10_000)) ** (-1.0 / 1.2)
-    for n, xi in enumerate(x, start=1):
+    for xi in x:
         lr.decide()
         lr.update_queues(0, 0.0, 0.0)
-        feed(lr, n, [xi], [xi ** 0.6])
+        feed(lr, [xi], [xi ** 0.6])
     lr.decide()
     clipped = np.minimum(x[: lr.released_samples], 5.0)
     se = clipped.std(ddof=1) / np.sqrt(len(clipped))

@@ -150,17 +150,23 @@ def test_fractions_alpha_half_match_rates():
 
 
 def test_fractions_reject_linear_and_zero_rates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"degenerate KKT system$"):
         solve_fractions(uniform_utilities(0.0), _stats([1.0, 2.0]))
     with pytest.raises(NoRewardError):
         solve_fractions(uniform_utilities(1.0), _stats([0.0, 0.0]))
 
 
 def test_closed_form_rejects_mixed_alphas_and_zero_rates():
-    with pytest.raises(ValueError, match="disagree"):
-        alpha_fair_closed_form(1.0, [UtilitySpec(1.0), UtilitySpec(2.0)], _stats([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"one alpha across the utilities, got \[1.0, 2.0\]"):
+        alpha_fair_closed_form([UtilitySpec(1.0), UtilitySpec(2.0)], _stats([1.0, 2.0]))
     with pytest.raises(NoRewardError):
-        alpha_fair_closed_form(1.0, uniform_utilities(1.0), _stats([0.0, 0.0]))
+        alpha_fair_closed_form(uniform_utilities(1.0), _stats([0.0, 0.0]))
+
+
+def test_solve_rejects_a_linear_utility_among_other_alphas():
+    groups, deadlines = two_group_env()
+    with pytest.raises(ValueError, match=r"^a linear utility \(alpha=0\) cannot be mixed with other alphas$"):
+        solve(groups, deadlines, [UtilitySpec(0.0), UtilitySpec(1.0)])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -197,9 +203,9 @@ def test_fractions_zero_rate_group_excluded():
 def test_closed_form_matches_bisection_randomized():
     r = np.random.default_rng(21)
     for _ in range(30):
-        alpha, utilities, stats = random_positive_instance(r)
+        _, utilities, stats = random_positive_instance(r)
         phi_b, lam_b = solve_fractions(utilities, stats)
-        sol = alpha_fair_closed_form(alpha, utilities, stats)
+        sol = alpha_fair_closed_form(utilities, stats)
         assert np.abs(sol.time_shares - phi_b).max() < 1e-9
         assert sol.multiplier == pytest.approx(lam_b, rel=1e-6)
 
@@ -256,12 +262,12 @@ def test_alpha_zero_winner_takes_all():
 
 
 def test_alpha_zero_tie_breaks_to_smallest_index():
-    sol = alpha_fair_closed_form(0.0, uniform_utilities(0.0), _stats([0.7, 0.7]))
+    sol = alpha_fair_closed_form(uniform_utilities(0.0), _stats([0.7, 0.7]))
     assert sol.time_shares == pytest.approx([1.0, 0.0])
 
 
 def test_symmetric_groups_split_evenly():
-    sol = alpha_fair_closed_form(2.0, uniform_utilities(2.0), _stats([0.5, 0.5]))
+    sol = alpha_fair_closed_form(uniform_utilities(2.0), _stats([0.5, 0.5]))
     assert sol.time_shares == pytest.approx([0.5, 0.5])
     assert sol.selection == pytest.approx([0.5, 0.5])
 
@@ -270,7 +276,7 @@ def test_closed_form_utility_matches_reference():
     r = np.random.default_rng(22)
     for _ in range(20):
         alpha, utilities, stats = random_positive_instance(r)
-        sol = alpha_fair_closed_form(alpha, utilities, stats)
+        sol = alpha_fair_closed_form(utilities, stats)
         ref = alpha_fair_optimum_reference(
             alpha, [u.weight for u in utilities], [s.rate for s in stats]
         )

@@ -18,7 +18,10 @@ and empirical groups tie, and two deadlines far apart.
 The digests in ``data/offline_digests.json`` were written by the solver that
 scanned the deadline menu once per group outside the moment table and built
 its solution separately on the closed-form and the bisection paths, at
-numpy's AVX-512 dispatch.  numpy's baseline loops for pow, exp and log round
+numpy's AVX-512 dispatch.  The 18 ``*mixed_linear*`` entries that hash the
+rejection of a linear utility among other alphas were refrozen, in both
+files, when ``solve`` took that check over from ``solve_fractions`` with a
+message of its own; no other entry moved.  numpy's baseline loops for pow, exp and log round
 some results differently, so ``data/offline_digests_x86_v3.json`` holds the
 digests at the X86_V3 dispatch; the test computes them in a subprocess whose
 ``NPY_DISABLE_CPU_FEATURES`` drops the AVX-512 targets (the variable acts on

@@ -102,6 +102,10 @@ HARD_INTEGRANDS = {
     "abs_sqrt_pole": (lambda x: abs(x - 1.0 / 3.0) ** -0.5, 0.0, 1.0, QUAD_ABS_TOL, 0, True),
     "step": (lambda x: 1.0 if x > 1.0 / 3.0 else 0.0, 0.0, 1.0, QUAD_ABS_TOL, 0, True),
     "zero": (lambda x: 0.0, 0.0, 1.0, QUAD_ABS_TOL, 0, False),
+    # _dqpsrt moves a raised error up past nrmax
+    "cos_pow_2.879": (lambda x: abs(x) ** 2.879 * math.cos(138.211 * x), -1.324, 4.073, 1e-14, 1, True),
+    # the roundoff counters, the erlarg update and the final error adjustment
+    "cos_pow_-0.888": (lambda x: abs(x) ** -0.888 * math.cos(3.794 * x), -0.095, 12.065, 1e-8, 2, True),
 }
 
 

@@ -89,6 +89,15 @@ def test_srp_selection_must_be_distribution():
         SrpPolicy((0.6, 0.6), (1.0, 1.0))
     with pytest.raises(ValueError):
         SrpPolicy((0.5, 0.5), (1.0,))
+    # bool is a number, numpy's too, but True must not run as 1.0
+    for selection in [(True, False), (np.True_, 0.0)]:
+        with pytest.raises(ValueError, match="probability distribution"):
+            SrpPolicy(selection, (2.0, 4.0))
+    for deadlines in [(True, 2.0), (1.0, np.True_)]:
+        with pytest.raises(ValueError, match="one deadline per group"):
+            SrpPolicy((1.0, 0.0), deadlines)
+    with pytest.raises(ValueError):
+        SrpPolicy([True, False], [True, 2.0])
     # NaN compares false either way, so it must fail the checks, not pass them
     for selection in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)]:
         with pytest.raises(ValueError, match="probability distribution"):
@@ -105,7 +114,7 @@ def test_srp_policy_constants_stay_out_of_its_fields():
 
 def test_budget_validation():
     groups, dl, us = unit_env()
-    for bad in (0.0, -1.0, math.inf, True):
+    for bad in (0.0, -1.0, math.inf, True, np.True_):
         with pytest.raises(ValueError, match="budget must be positive"):
             run_episode(groups, dl, us, unit_policy(), bad, seed=0)
 
@@ -525,6 +534,8 @@ def test_regret_curve_validates_grid():
     [1, 10, 100, math.nan],
     [1, 10, 100, math.inf],
     [math.nan, 1, 10, 100],
+    [True, 10, 100, 1000],
+    [np.True_, 10, 100, 1000],
 ])
 def test_budget_grid_rejects_nonpositive_and_nonfinite_budgets(grid):
     with pytest.raises(ValueError, match="positive and finite"):

@@ -9,6 +9,11 @@ def test_spec_validation():
         UtilitySpec(alpha=-0.5)
     with pytest.raises(ValueError):
         UtilitySpec(alpha=1.0, weight=0.0)
+    # bool is a number, numpy's too, but True must not run as 1.0
+    for alpha, weight, field in [(True, True, "alpha"), (np.True_, 1.0, "alpha"),
+                                 (1.0, True, "weight"), (1.0, np.True_, "weight")]:
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            UtilitySpec(alpha=alpha, weight=weight)
 
 
 @pytest.mark.parametrize(

@@ -15,15 +15,15 @@ end-to-end metric it also holds what a claimed gain is judged by: the number
 of seed-matched pairs, how many of them the change won in the metric's better
 direction (``better`` in BENCHMARK.json; a tie is no win), and the parent's
 interquartile range over those seeds.
-``--tier1`` is the output of ``pytest -q --durations=N``, whose pass count,
-wall time and ``test_07`` time are recorded.  The source line counts (all
-lines, and code lines: those holding a token other than a comment, outside
-docstrings), the Python and numpy versions, numpy's SIMD dispatch and whether
-``PYTHONDONTWRITEBYTECODE`` is set (to a non-empty value, as Python reads it)
-are this checkout's and this host's.  When the checkout two levels above
-``--parent`` (``PARENT`` in ``PARENT/perfbench/out``) holds ``src/fairtime``,
-its line counts are recorded too, as ``parent_src_lines`` and
-``parent_src_code_lines``.
+``--tier1`` is the output of ``pytest -q --durations=N``, whose pass, failure
+and error counts, wall time and ``test_07`` time are recorded.  The source
+line counts (all lines, and code lines: those holding a token other than a
+comment, outside docstrings), the Python and numpy versions, numpy's SIMD
+dispatch and whether ``PYTHONDONTWRITEBYTECODE`` is set (to a non-empty value,
+as Python reads it) are this checkout's and this host's.  When the checkout
+two levels above ``--parent`` (``PARENT`` in ``PARENT/perfbench/out``) holds
+``src/fairtime``, its line counts are recorded too, as ``parent_src_lines``
+and ``parent_src_code_lines``.
 """
 
 from __future__ import annotations
@@ -91,12 +91,16 @@ def claim_rule(parent: dict, change: dict, better: dict[str, str]) -> dict:
 
 
 def tier1(log: Path) -> dict:
-    """Pass count, wall time and test_07's time from a pytest log."""
+    """Pass, failure and error counts (0 when the summary omits one), wall
+    time and test_07's time from a pytest log, whose last summary line reads
+    like ``2 failed, 511 passed, 1 error in 70.12s``."""
     text = log.read_text()
-    summary = re.findall(r"(\d+) passed.* in ([\d.]+)s", text)
+    summary = re.findall(r"^=*\s*((?:\d+ \w+(?:, )?)+) in ([\d.]+)s", text, re.M)
+    counts = {"errors" if word == "error" else word: int(n)
+              for n, word in re.findall(r"(\d+) (\w+)", summary[-1][0] if summary else "")}
     test_07 = re.findall(r"([\d.]+)s call\s+\S*test_07_\w+", text)
     return {
-        "passed": int(summary[-1][0]) if summary else None,
+        **{key: counts.get(key, 0) if summary else None for key in ("passed", "failed", "errors")},
         "wall_s": float(summary[-1][1]) if summary else None,
         "test_07_s": float(test_07[0]) if test_07 else None,
     }
