@@ -14,6 +14,11 @@ the interface.  Both moments are closed forms except for Exponential
 completion with a power-of-time reward, which uses adaptive quadrature at
 absolute tolerance ``QUAD_ABS_TOL``: the in-tree QAGS port of ``quadrature``,
 which returns the same doubles as ``scipy.integrate.quad`` without scipy.
+
+A numeric parameter of the model, here and in ``utility``, ``learning`` and
+``sim``, passes one of two checks where it enters: ``check_number`` (finite,
+> 0 or >= 0, and not a bool) or ``check_integer`` (an int or numpy integer
+at or above a minimum, and not a bool).  Both raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -34,6 +39,28 @@ QUAD_ABS_TOL = 1e-10
 EXP_UNDERFLOW = 750.0
 
 
+def check_number(value, name: str, *, strict: bool = True) -> float:
+    """The value as a float; raises ValueError unless it is finite and > 0
+    (>= 0 when not ``strict``).  bool is a number, numpy's too, but True
+    would run as 1.0, so a bool fails; so do NaN, which compares false, a
+    value that does not compare with 0 (a string, None, a complex) and an
+    int too large for a float."""
+    try:
+        if not isinstance(value, (bool, np.bool_)) and (value > 0 if strict else value >= 0) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {value}")
+
+
+def check_integer(value, name: str, minimum: int) -> int:
+    """The value as an int; raises ValueError unless it is an int or numpy
+    integer >= ``minimum`` that is not a bool (numpy's bool is no integer)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # completion-time distributions
 # ---------------------------------------------------------------------------
@@ -46,11 +73,8 @@ class Pareto:
     shape: float
 
     def __post_init__(self):
-        # bool is a number, but True would run as 1.0 (here and in each type below)
-        if isinstance(self.scale, (bool, np.bool_)) or not 0 < self.scale < math.inf:
-            raise ValueError(f"Pareto scale must be finite and > 0, got {self.scale}")
-        if isinstance(self.shape, (bool, np.bool_)) or not 0 < self.shape < math.inf:
-            raise ValueError(f"Pareto shape must be finite and > 0, got {self.shape}")
+        check_number(self.scale, "Pareto scale")
+        check_number(self.shape, "Pareto shape")
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # inverse CDF on U in (0, 1]; 1 - random() avoids U = 0 -> inf
@@ -86,8 +110,7 @@ class Exponential:
     rate: float
 
     def __post_init__(self):
-        if isinstance(self.rate, (bool, np.bool_)) or not 0 < self.rate < math.inf:
-            raise ValueError(f"Exponential rate must be finite and > 0, got {self.rate}")
+        check_number(self.rate, "Exponential rate")
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, size)
@@ -127,8 +150,7 @@ class Deterministic:
     value: float
 
     def __post_init__(self):
-        if isinstance(self.value, (bool, np.bool_)) or not 0 < self.value < math.inf:
-            raise ValueError(f"Deterministic value must be finite and > 0, got {self.value}")
+        check_number(self.value, "Deterministic value")
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
@@ -155,9 +177,7 @@ class Empirical:
     def __post_init__(self):
         if len(self.samples) == 0:
             raise ValueError("Empirical needs at least one sample")
-        if not all(not isinstance(x, (bool, np.bool_)) and 0 < x < math.inf for x in self.samples):
-            raise ValueError("Empirical samples must all be finite and > 0")
-        object.__setattr__(self, "samples", tuple(float(x) for x in self.samples))
+        object.__setattr__(self, "samples", tuple(check_number(x, "Empirical sample") for x in self.samples))
 
     def _sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         pool = np.asarray(self.samples)
@@ -191,8 +211,7 @@ class PowerOfTime:
     exponent: float
 
     def __post_init__(self):
-        if isinstance(self.exponent, (bool, np.bool_)) or not 0 <= self.exponent < math.inf:
-            raise ValueError(f"PowerOfTime exponent must be finite and >= 0, got {self.exponent}")
+        check_number(self.exponent, "PowerOfTime exponent", strict=False)
 
     def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return completions ** self.exponent
@@ -206,8 +225,7 @@ class Constant:
     value: float
 
     def __post_init__(self):
-        if isinstance(self.value, (bool, np.bool_)) or not 0 <= self.value < math.inf:
-            raise ValueError(f"Constant reward must be finite and >= 0, got {self.value}")
+        check_number(self.value, "Constant reward", strict=False)
 
     def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return np.full(completions.shape, self.value)
@@ -224,8 +242,8 @@ class ScaledUniform:
     hi: float
 
     def __post_init__(self):
-        if isinstance(self.lo, (bool, np.bool_)) or isinstance(self.hi, (bool, np.bool_)) \
-                or not 0 <= self.lo <= self.hi < math.inf:
+        if not check_number(self.lo, "ScaledUniform lo", strict=False) \
+                <= check_number(self.hi, "ScaledUniform hi", strict=False):
             raise ValueError(f"ScaledUniform needs 0 <= lo <= hi, got [{self.lo}, {self.hi}]")
 
     def _draw(self, completions: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -267,10 +285,7 @@ class DeadlineSet:
     def __post_init__(self):
         if len(self.deadlines) == 0:
             raise ValueError("DeadlineSet must be non-empty")
-        values = tuple(float(t) for t in self.deadlines)
-        if not all(not isinstance(t, (bool, np.bool_)) and math.isfinite(t) and t > 0
-                   for t in self.deadlines):
-            raise ValueError("deadlines must be finite and > 0")
+        values = tuple(check_number(t, "deadline") for t in self.deadlines)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("deadlines must be strictly increasing")
         object.__setattr__(self, "deadlines", values)

@@ -84,7 +84,7 @@ from operator import mul, truediv
 
 import numpy as np
 
-from .distributions import DeadlineSet
+from .distributions import DeadlineSet, check_integer, check_number
 from .utility import UtilitySpec
 
 # Target-rate cap used before any feedback has been released (the empirical
@@ -119,17 +119,11 @@ class LearnerParams:
     target_rate_cap: float | None = None
 
     def __post_init__(self):
-        # bool is an int subclass and numpy's bool a number, but v=True or
-        # delay=True would silently run as 1
-        if isinstance(self.v, (bool, np.bool_)) or not 0 < self.v < math.inf:
-            raise ValueError(f"v must be finite and > 0, got {self.v}")
-        delay = self.delay
-        if isinstance(delay, bool) or not isinstance(delay, (int, np.integer)) or delay < 1:
-            raise ValueError(f"delay must be an integer >= 1, got {delay}")
-        object.__setattr__(self, "delay", int(delay))  # the per-task arithmetic stays on ints
-        cap = self.target_rate_cap
-        if cap is not None and (isinstance(cap, (bool, np.bool_)) or not 0 < cap < math.inf):
-            raise ValueError(f"target_rate_cap must be finite and > 0, got {cap}")
+        check_number(self.v, "v")
+        # the per-task arithmetic stays on ints
+        object.__setattr__(self, "delay", check_integer(self.delay, "delay", 1))
+        if self.target_rate_cap is not None:
+            check_number(self.target_rate_cap, "target_rate_cap")
 
 
 def fold_stages(x, r, grid, busy_carry, reward_carry):

@@ -10,6 +10,13 @@ same order, and comparisons are written so that a NaN takes the branch the
 Fortran takes; the port therefore returns the same doubles as ``quad`` at its
 default ``epsrel`` and ``limit``.  The work arrays keep QUADPACK's 1-based
 indices, and their slot 0 is unused.
+
+Two statements of ``dqelg`` are left out because ``qags`` can never reach
+them.  Its return for a table of fewer than 3 elements: the driver raises
+``numrl2`` from 2 before every call, and a table cut to 1 element sets
+``noext``, which ends the extrapolation.  Its shift of a full table
+(``n == limexp``): ``dqelg`` runs at most once per subdivision, for ``last``
+3..49, so the table never holds more than 49 of ``_LIMEXP``'s 50 elements.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ UFLOW = sys.float_info.min       # d1mach(1)
 OFLOW = sys.float_info.max       # d1mach(2)
 EPSREL = 1.49e-8                 # quad's default relative tolerance
 LIMIT = 50                       # quad's default number of subintervals
-_LIMEXP = 50                     # dqelg's largest epsilon table
+_LIMEXP = 50                     # dqelg's largest epsilon table (rlist2's size)
 
 # Kronrod abscissae, Kronrod weights and Gauss weights of the 21-point rule
 _XGK = (None,
@@ -135,8 +142,6 @@ def _dqelg(n: int, epstab: list, res3la: list, nres: int):
     nres += 1
     abserr = OFLOW
     result = epstab[n]
-    if n < 3:
-        return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
     epstab[n + 2] = epstab[n]
     newelm = (n - 1) // 2
     epstab[n] = OFLOW
@@ -183,8 +188,6 @@ def _dqelg(n: int, epstab: list, res3la: list, nres: int):
             abserr = error
             result = res
     # shift the table
-    if n == _LIMEXP:
-        n = 2 * (_LIMEXP // 2) - 1
     ib = 2 if num % 2 == 0 else 1
     for _ in range(newelm + 1):
         epstab[ib] = epstab[ib + 2]

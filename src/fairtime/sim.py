@@ -51,6 +51,8 @@ from .distributions import (
     DeadlineSet,
     GroupModel,
     base_rewards,
+    check_integer,
+    check_number,
     draws_concatenate,
     sample_completions,
     truncated_mean_time,
@@ -84,15 +86,13 @@ class SrpPolicy:
     deadlines: tuple[float, ...]
 
     def __post_init__(self):
-        sel = tuple(float(p) for p in self.selection)
-        # bool is a number, but True would run as 1.0
-        if any(isinstance(p, (bool, np.bool_)) for p in self.selection) \
-                or any(not p >= 0 for p in sel) or not abs(sum(sel) - 1.0) <= 1e-9:  # NaN fails too
+        sel = tuple(check_number(p, "selection probability", strict=False) for p in self.selection)
+        if not abs(sum(sel) - 1.0) <= 1e-9:
             raise ValueError(f"selection must be a probability distribution over groups, got {sel}")
-        if len(self.deadlines) != len(sel) or any(isinstance(t, (bool, np.bool_)) for t in self.deadlines):
+        if len(self.deadlines) != len(sel):
             raise ValueError("need one deadline per group")
         object.__setattr__(self, "selection", sel)
-        object.__setattr__(self, "deadlines", tuple(float(t) for t in self.deadlines))
+        object.__setattr__(self, "deadlines", tuple(check_number(t, "policy deadline") for t in self.deadlines))
         # the SRP engine's per-trial constants, kept out of the fields (and so
         # out of __eq__): the bounds between groups k and k + 1 on the
         # selection draw, and each group's deadline
@@ -149,14 +149,6 @@ class McSummary:
     regret_se: float       # delta-method propagation of the rate SEs
     floored_frac: float
     mean_tasks: float
-
-
-def _check_seed(seed) -> int:
-    """The seed as an int; raises ValueError unless it is an integer >= 0 that
-    is not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be >= 0 and an integer, got {seed!r}")
-    return int(seed)
 
 
 def _hash_steps(init: int, mult: int, count: int):
@@ -277,15 +269,15 @@ def run_episode(
     K + 1 for an SRP policy, whose selections come from substream K, and K
     for the learner.  ``rngs``, when given, replace them and must have their
     bits; ``monte_carlo`` passes them precomputed.  Any other number of
-    ``rngs`` raises ValueError.
+    ``rngs``, or of utilities than K, raises ValueError before a draw.
     """
-    # bool is a number, numpy's too, but budget=True would run as 1.0
-    if isinstance(budget, (bool, np.bool_)) or not (budget > 0 and math.isfinite(budget)):
-        raise ValueError(f"budget must be positive and finite, got {budget}")
+    check_number(budget, "budget")
     K = len(groups)
+    if len(utilities) != K:
+        raise ValueError(f"{len(utilities)} utilities vs {K} groups")
     streams = K + isinstance(policy, SrpPolicy)
     if rngs is None:
-        rngs = next(_trial_streams(_check_seed(seed), 1, streams))
+        rngs = next(_trial_streams(check_integer(seed, "seed", 0), 1, streams))
     elif len(rngs) != streams:
         # too few would leave stages undrawn, and an SRP policy would pick
         # groups from a group's stream
@@ -409,8 +401,6 @@ def _run_srp(groups, deadlines, policy, budget, rngs):
 
 def _run_online(groups, deadlines, utilities, params, budget, rngs, collect_trace):
     K = len(groups)
-    if len(utilities) != K:
-        raise ValueError(f"{len(utilities)} utilities vs {K} groups")
     learner = OnlineLearner(utilities, deadlines, params)
 
     time_tot = [0.0] * K  # Python floats add with the bits of float64 elements
@@ -475,9 +465,8 @@ def monte_carlo(
     against the offline optimum utility rate (computed here unless passed
     in), applying the utilities to the across-trial mean reward rates.
     """
-    base_seed = _check_seed(base_seed)
-    if not isinstance(trials, (int, np.integer)) or trials < 2:
-        raise ValueError(f"trials must be an integer >= 2, got {trials!r}")
+    base_seed = check_integer(base_seed, "seed", 0)
+    trials = check_integer(trials, "trials", 2)
     if opt_utility_rate is None:
         opt_utility_rate = solve(groups, deadlines, utilities).utility_rate
 
@@ -550,9 +539,7 @@ def check_budget_grid(budget_grid: list[float]) -> tuple[float, ...]:
     """The grid as floats; raises ValueError unless it is strictly increasing
     with at least 4 positive, finite points spanning at least 1.5 decades, so
     the slope fit has leverage."""
-    grid = tuple(float(b) for b in budget_grid)
-    if not all(not isinstance(b, (bool, np.bool_)) and 0 < b < math.inf for b in budget_grid):
-        raise ValueError("budget grid values must be positive and finite")
+    grid = tuple(check_number(b, "budget grid value") for b in budget_grid)
     if len(grid) < 4:
         raise ValueError("budget grid needs at least 4 points")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .distributions import check_number
 
 # Rates of exactly zero poison log-type utilities; aggregate statistics are
 # evaluated at this floor instead, and results carry a "floored" flag.
@@ -29,11 +29,8 @@ class UtilitySpec:
     weight: float = 1.0
 
     def __post_init__(self):
-        # bool is a number, but alpha=True would run as 1.0
-        if isinstance(self.alpha, (bool, np.bool_)) or not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {self.alpha}")
-        if isinstance(self.weight, (bool, np.bool_)) or not 0 < self.weight < math.inf:
-            raise ValueError(f"weight must be finite and > 0, got {self.weight}")
+        check_number(self.alpha, "alpha", strict=False)
+        check_number(self.weight, "weight")
 
 
 def value(u: UtilitySpec, x: float) -> float:

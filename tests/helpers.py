@@ -10,7 +10,10 @@ for Pareto(scale s, shape g) completion and X**b rewards.
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -260,6 +263,51 @@ def numpy_host(path) -> str:
     recorded = json.loads(hosts.read_text()).get(path.name)
     return f"this host: {this_host()}; {path.name} " + (
         f"verified on: {recorded['verified_on']}" if recorded else "has no recorded host")
+
+
+# numpy's X86_V3 dispatch on an AVX-512 host: the variable drops the AVX-512
+# targets in the process that imports numpy under it, and in that one only
+X86_V3 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def x86_v3_file(path):
+    """The digest file frozen at the X86_V3 dispatch beside ``path``, which
+    is frozen at the AVX-512 dispatch."""
+    return path.with_name(f"{path.stem}_x86_v3.json")
+
+
+def dispatch_file(path):
+    """The digest file for this process: ``path``'s X86_V3 file when its
+    recorded dispatch in ``DIGEST_HOSTS`` equals this process's, else
+    ``path``."""
+    recorded = json.loads((path.parent / DIGEST_HOSTS).read_text()).get(x86_v3_file(path).name)
+    if recorded and recorded["verified_on"]["simd_dispatch"] == this_host()["simd_dispatch"]:
+        return x86_v3_file(path)
+    return path
+
+
+def writer_file(path):
+    """The file a digest writer writes from this process: ``path``'s X86_V3
+    file when ``X86_V3``'s variable is set, else ``path``."""
+    at_x86_v3 = os.environ.get("NPY_DISABLE_CPU_FEATURES") == X86_V3["NPY_DISABLE_CPU_FEATURES"]
+    return x86_v3_file(path) if at_x86_v3 else path
+
+
+def check_digests_at_x86_v3(module, path):
+    """Compute test module ``module``'s ``digest_table()`` in a subprocess at
+    the X86_V3 dispatch and assert that it equals ``path``'s X86_V3 file."""
+    env = dict(os.environ, **X86_V3, PYTHONPATH=os.pathsep.join(sys.path))
+    code = f"import json, helpers, {module} as t; print(json.dumps([helpers.this_host(), t.digest_table()]))"
+    run = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    host, table = json.loads(run.stdout)
+    assert not set(X86_V3["NPY_DISABLE_CPU_FEATURES"].split()) & set(host["simd_dispatch"]), host
+    data = x86_v3_file(path)
+    frozen = json.loads(data.read_text())
+    assert sorted(frozen) == sorted(table)
+    mismatched = [case for case, digest in table.items() if digest != frozen[case]]
+    assert mismatched == [], f"subprocess host: {host}; " + numpy_host(data)
 
 
 def freeze(path, make_table) -> int:

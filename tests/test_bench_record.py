@@ -94,6 +94,22 @@ def test_parent_checkout_line_counts(tmp_path):
     assert bench["src_code_lines"] == bench_record.src_counts(TOOL.parents[1])[1]
 
 
+def test_every_workload_in_the_benchmark_file_is_recorded(tmp_path, monkeypatch):
+    # a workload added to BENCHMARK.json is recorded without a change to the tool
+    benchmark = json.loads(bench_record.BENCHMARK.read_text())
+    benchmark["workloads"].append({"name": "online_k8", "why": "a fourth workload"})
+    path = tmp_path / "BENCHMARK.json"
+    path.write_text(json.dumps(benchmark))
+    monkeypatch.setattr(bench_record, "BENCHMARK", path)
+    for side in ("parent", "change"):
+        write_records(tmp_path / side, "online_pareto2", {1: (1.0, 1.0)})
+        write_records(tmp_path / side, "online_k8", {1: (2.0, 1.0)})
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                              "--seeds", "1", "--out", str(out)]) == 0
+    assert list(json.loads(out.read_text())["workloads"]) == ["online_pareto2", "online_k8"]
+
+
 def test_no_shared_seed_is_an_error(tmp_path):
     write_records(tmp_path / "parent", "online_pareto2", {1: (1.0, 1.0)})
     write_records(tmp_path / "change", "online_pareto2", {2: (1.0, 1.0)})

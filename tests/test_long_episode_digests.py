@@ -12,6 +12,13 @@ Episodes and digests come from ``helpers``, the same as the short episodes.
 ``python tests/test_long_episode_digests.py --force`` rewrites
 ``data/long_episode_digests.json`` from the installed engine; without
 ``--force`` it refuses to overwrite the file.
+
+numpy's baseline loops for pow, exp and log round some results differently
+from its AVX-512 ones, so the X86_V3 dispatch has its own file,
+``data/long_episode_digests_x86_v3.json``, written by the same command with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set.  The
+in-process tests read it when its recorded dispatch is the running process's;
+one more test computes the table in a subprocess under that variable.
 """
 
 import json
@@ -20,7 +27,15 @@ from pathlib import Path
 
 import pytest
 
-from helpers import episode_digest, family_episode, freeze, numpy_host
+from helpers import (
+    check_digests_at_x86_v3,
+    dispatch_file,
+    episode_digest,
+    family_episode,
+    freeze,
+    numpy_host,
+    writer_file,
+)
 
 DATA = Path(__file__).parent / "data" / "long_episode_digests.json"
 
@@ -44,9 +59,14 @@ def episode(delay, k, alpha, cap, seed):
     return family_episode(k, alpha, delay, cap, seed, BUDGET)
 
 
+def digest_table() -> dict:
+    return {case_id(*case): episode_digest(episode(*case)) for case in cases()}
+
+
 @pytest.mark.parametrize("k", (2, 8))
 def test_long_online_episodes_match_frozen_digests(k):
-    frozen = json.loads(DATA.read_text())
+    data = dispatch_file(DATA)
+    frozen = json.loads(data.read_text())
     mismatched, shortest = [], None
     for case in cases():
         if case[1] != k:
@@ -55,10 +75,14 @@ def test_long_online_episodes_match_frozen_digests(k):
         shortest = res.n_tasks if shortest is None else min(shortest, res.n_tasks)
         if episode_digest(res) != frozen[case_id(*case)]:
             mismatched.append(case_id(*case))
-    assert mismatched == [], numpy_host(DATA)
+    assert mismatched == [], numpy_host(data)
     # every episode ran well past its cold start and several sample chunks
     assert shortest > 1000
 
 
+def test_long_online_episodes_match_frozen_digests_at_x86_v3():
+    check_digests_at_x86_v3("test_long_episode_digests", DATA)
+
+
 if __name__ == "__main__":
-    sys.exit(freeze(DATA, lambda: {case_id(*case): episode_digest(episode(*case)) for case in cases()}))
+    sys.exit(freeze(writer_file(DATA), digest_table))

@@ -23,9 +23,10 @@ rejection of a linear utility among other alphas were refrozen, in both
 files, when ``solve`` took that check over from ``solve_fractions`` with a
 message of its own; no other entry moved.  numpy's baseline loops for pow, exp and log round
 some results differently, so ``data/offline_digests_x86_v3.json`` holds the
-digests at the X86_V3 dispatch; the test computes them in a subprocess whose
+digests at the X86_V3 dispatch; one test computes them in a subprocess whose
 ``NPY_DISABLE_CPU_FEATURES`` drops the AVX-512 targets (the variable acts on
-that process only).
+that process only).  The in-process test reads the X86_V3 file when its
+recorded dispatch is the running process's, and the AVX-512 file otherwise.
 
 ``python tests/test_offline_digests.py --force`` rewrites
 ``data/offline_digests.json`` from the installed solver, and with
@@ -36,19 +37,23 @@ overwrite the file.
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from fairtime import Constant, DeadlineSet, Deterministic, Exponential, GroupModel, UtilitySpec, solve
-from helpers import DEADLINE_GRID, FAMILY_GROUPS, freeze, numpy_host
+from helpers import (
+    DEADLINE_GRID,
+    FAMILY_GROUPS,
+    check_digests_at_x86_v3,
+    dispatch_file,
+    freeze,
+    numpy_host,
+    writer_file,
+)
 
 DATA = Path(__file__).parent / "data" / "offline_digests.json"
-DATA_X86_V3 = DATA.with_name("offline_digests_x86_v3.json")
-X86_V3 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
 
 MENUS = {
     "grid": DEADLINE_GRID,
@@ -113,28 +118,17 @@ def digest_table() -> dict:
 
 
 def test_offline_solutions_match_frozen_digests():
-    frozen = json.loads(DATA.read_text())
+    data = dispatch_file(DATA)
+    frozen = json.loads(data.read_text())
     assert sorted(frozen) == sorted(case_id(*case) for case in cases())
     mismatched = [case_id(*case) for case in cases()
                   if outcome_digest(*case) != frozen[case_id(*case)]]
-    assert mismatched == [], numpy_host(DATA)
+    assert mismatched == [], numpy_host(data)
 
 
 def test_offline_solutions_match_frozen_digests_at_x86_v3():
-    env = dict(os.environ, **X86_V3, PYTHONPATH=os.pathsep.join(sys.path))
-    code = ("import json, helpers, test_offline_digests as t; "
-            "print(json.dumps([helpers.this_host(), t.digest_table()]))")
-    run = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent, env=env,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    host, table = json.loads(run.stdout)
-    assert not set(X86_V3["NPY_DISABLE_CPU_FEATURES"].split()) & set(host["simd_dispatch"]), host
-    frozen = json.loads(DATA_X86_V3.read_text())
-    assert sorted(frozen) == sorted(table)
-    mismatched = [case for case, digest in table.items() if digest != frozen[case]]
-    assert mismatched == [], f"subprocess host: {host}; " + numpy_host(DATA_X86_V3)
+    check_digests_at_x86_v3("test_offline_digests", DATA)
 
 
 if __name__ == "__main__":
-    at_x86_v3 = os.environ.get("NPY_DISABLE_CPU_FEATURES") == X86_V3["NPY_DISABLE_CPU_FEATURES"]
-    sys.exit(freeze(DATA_X86_V3 if at_x86_v3 else DATA, digest_table))
+    sys.exit(freeze(writer_file(DATA), digest_table))

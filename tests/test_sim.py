@@ -91,16 +91,16 @@ def test_srp_selection_must_be_distribution():
         SrpPolicy((0.5, 0.5), (1.0,))
     # bool is a number, numpy's too, but True must not run as 1.0
     for selection in [(True, False), (np.True_, 0.0)]:
-        with pytest.raises(ValueError, match="probability distribution"):
+        with pytest.raises(ValueError, match="^selection probability must be finite and >= 0, got True$"):
             SrpPolicy(selection, (2.0, 4.0))
     for deadlines in [(True, 2.0), (1.0, np.True_)]:
-        with pytest.raises(ValueError, match="one deadline per group"):
+        with pytest.raises(ValueError, match="^policy deadline must be finite and > 0, got True$"):
             SrpPolicy((1.0, 0.0), deadlines)
     with pytest.raises(ValueError):
         SrpPolicy([True, False], [True, 2.0])
     # NaN compares false either way, so it must fail the checks, not pass them
-    for selection in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)]:
-        with pytest.raises(ValueError, match="probability distribution"):
+    for selection, bad in [((math.nan, 1.0), "nan"), ((1.0, math.nan), "nan"), ((math.inf, 1.0), "inf")]:
+        with pytest.raises(ValueError, match=f"^selection probability must be finite and >= 0, got {bad}$"):
             SrpPolicy(selection, (2.0, 4.0))
 
 
@@ -115,18 +115,20 @@ def test_srp_policy_constants_stay_out_of_its_fields():
 def test_budget_validation():
     groups, dl, us = unit_env()
     for bad in (0.0, -1.0, math.inf, True, np.True_):
-        with pytest.raises(ValueError, match="budget must be positive"):
+        with pytest.raises(ValueError, match=f"^budget must be finite and > 0, got {bad}$"):
             run_episode(groups, dl, us, unit_policy(), bad, seed=0)
 
 
 @pytest.mark.parametrize("policy, utilities, seed, error, message", [
-    (LearnerParams(v=20.0), 2, -1, ValueError, "seed must be >= 0"),
-    (LearnerParams(v=20.0), 2, True, ValueError, "seed must be >= 0"),
-    (SrpPolicy((0.5, 0.5), (7.0, 4.0)), 2, 1.5, ValueError, "seed must be >= 0"),
+    (LearnerParams(v=20.0), 2, -1, ValueError, "^seed must be an integer >= 0, got -1$"),
+    (LearnerParams(v=20.0), 2, True, ValueError, "^seed must be an integer >= 0, got True$"),
+    (SrpPolicy((0.5, 0.5), (7.0, 4.0)), 2, 1.5, ValueError, "^seed must be an integer >= 0, got 1.5$"),
     ("online", 2, 0, TypeError, "unknown policy"),
     (SrpPolicy((0.2, 0.3, 0.5), (7.0, 4.0, 4.0)), 2, 0, ValueError, "policy has 3 groups, environment has 2"),
     (LearnerParams(v=20.0), 3, 0, ValueError, "3 utilities vs 2 groups"),
-], ids=["negative_seed", "bool_seed", "float_seed", "unknown_policy", "srp_length", "utilities_length"])
+    (SrpPolicy((0.5, 0.5), (7.0, 4.0)), 3, 0, ValueError, "^3 utilities vs 2 groups$"),
+], ids=["negative_seed", "bool_seed", "float_seed", "unknown_policy", "srp_length", "utilities_length",
+        "srp_utilities_length"])
 def test_run_episode_input_checks(policy, utilities, seed, error, message):
     groups, deadlines = two_group_env()
     with pytest.raises(error, match=message):
@@ -421,9 +423,9 @@ def test_monte_carlo_matches_standalone_across_seed_chunks(policy, monkeypatch):
 
 
 @pytest.mark.parametrize("base_seed, trials, message", [
-    (True, 2, "seed must be >= 0"),
-    (1.5, 2, "seed must be >= 0"),
-    (-1, 2, "seed must be >= 0"),
+    (True, 2, "^seed must be an integer >= 0, got True$"),
+    (1.5, 2, "^seed must be an integer >= 0, got 1.5$"),
+    (-1, 2, "^seed must be an integer >= 0, got -1$"),
     (0, 1, "trials must be an integer >= 2"),
     (0, 2.0, "trials must be an integer >= 2"),
     (0, 2.5, "trials must be an integer >= 2"),
@@ -538,7 +540,9 @@ def test_regret_curve_validates_grid():
     [np.True_, 10, 100, 1000],
 ])
 def test_budget_grid_rejects_nonpositive_and_nonfinite_budgets(grid):
-    with pytest.raises(ValueError, match="positive and finite"):
+    # the first value that is a bool or no finite number > 0 is the one named
+    bad = next(b for b in grid if isinstance(b, (bool, np.bool_)) or not 0 < b < math.inf)
+    with pytest.raises(ValueError, match=f"^budget grid value must be finite and > 0, got {bad}$"):
         sim.check_budget_grid(grid)
 
 

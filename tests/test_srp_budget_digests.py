@@ -12,6 +12,13 @@ arithmetic block by block; the size of a round must not change a bit.
 ``python tests/test_srp_budget_digests.py --force`` rewrites
 ``data/srp_budget_digests.json`` from the installed engine; without
 ``--force`` it refuses to overwrite the file.
+
+numpy's baseline loops for pow, exp and log round some results differently
+from its AVX-512 ones, so the X86_V3 dispatch has its own file,
+``data/srp_budget_digests_x86_v3.json``, written by the same command with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set.  The
+in-process tests read it when its recorded dispatch is the running process's;
+one more test computes the table in a subprocess under that variable.
 """
 
 import json
@@ -40,6 +47,8 @@ from fairtime import (
 from fairtime.distributions import base_rewards, draws_concatenate, sample_completions
 from helpers import (
     FAMILY_GROUPS,
+    check_digests_at_x86_v3,
+    dispatch_file,
     episode_digest,
     family_srp_episode,
     freeze,
@@ -47,6 +56,7 @@ from helpers import (
     numpy_streams,
     two_group_env,
     uniform_utilities,
+    writer_file,
 )
 
 DATA = Path(__file__).parent / "data" / "srp_budget_digests.json"
@@ -72,6 +82,10 @@ def episode(k, kind, truncate, seed, budget):
     return family_srp_episode(k, kind, truncate, seed, BUDGETS[budget])
 
 
+def digest_table() -> dict:
+    return {case_id(*case): episode_digest(episode(*case)) for case in cases()}
+
+
 def count_rounds(monkeypatch) -> list[int]:
     """Record the block count of every SRP round from now on."""
     rounds = []
@@ -87,7 +101,8 @@ def count_rounds(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
 def test_srp_budget_episodes_match_frozen_digests(k, monkeypatch):
-    frozen = json.loads(DATA.read_text())
+    data = dispatch_file(DATA)
+    frozen = json.loads(data.read_text())
     rounds = count_rounds(monkeypatch)
     mismatched, multi_round = [], []
     for case in cases():
@@ -106,7 +121,7 @@ def test_srp_budget_episodes_match_frozen_digests(k, monkeypatch):
             assert res.n_tasks < BLOCK
         else:
             assert res.n_tasks > sim._ROUND_BLOCKS * BLOCK
-    assert mismatched == [], numpy_host(DATA)
+    assert mismatched == [], numpy_host(data)
     # only the budget past the round cap needs a second round
     assert multi_round == [case_id(*c) for c in cases() if c[0] == k and c[-1] == "past_round_cap"]
 
@@ -120,9 +135,14 @@ def test_round_size_changes_no_bit(variant, monkeypatch):
         scale = 1e3 if variant == "rounds_too_short" else 1e-3
         estimate = sim._srp_time_per_task
         monkeypatch.setattr(sim, "_srp_time_per_task", lambda *args: scale * estimate(*args))
-    frozen = json.loads(DATA.read_text())
+    data = dispatch_file(DATA)
+    frozen = json.loads(data.read_text())
     mismatched = [case_id(*case) for case in cases() if episode_digest(episode(*case)) != frozen[case_id(*case)]]
-    assert mismatched == [], numpy_host(DATA)
+    assert mismatched == [], numpy_host(data)
+
+
+def test_srp_budget_episodes_match_frozen_digests_at_x86_v3():
+    check_digests_at_x86_v3("test_srp_budget_digests", DATA)
 
 
 def test_benchmark_sized_srp_trial_runs_at_most_two_rounds(monkeypatch):
@@ -230,4 +250,4 @@ def test_srp_round_calls_each_sampler_once_unless_rewards_interleave(monkeypatch
 
 
 if __name__ == "__main__":
-    sys.exit(freeze(DATA, lambda: {case_id(*case): episode_digest(episode(*case)) for case in cases()}))
+    sys.exit(freeze(writer_file(DATA), digest_table))

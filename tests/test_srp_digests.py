@@ -15,6 +15,13 @@ the shared per-group stage draws are pinned as well.
 ``python tests/test_srp_digests.py --force`` rewrites
 ``data/srp_episode_digests.json`` from the installed engine; without
 ``--force`` it refuses to overwrite the file.
+
+numpy's baseline loops for pow, exp and log round some results differently
+from its AVX-512 ones, so the X86_V3 dispatch has its own file,
+``data/srp_episode_digests_x86_v3.json``, written by the same command with
+``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` set.  The
+in-process tests read it when its recorded dispatch is the running process's;
+one more test computes the table in a subprocess under that variable.
 """
 
 import json
@@ -23,7 +30,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DIGEST_HOSTS, episode_digest, family_srp_episode, freeze, numpy_host, this_host
+from helpers import (
+    DIGEST_HOSTS,
+    check_digests_at_x86_v3,
+    dispatch_file,
+    episode_digest,
+    family_srp_episode,
+    freeze,
+    numpy_host,
+    this_host,
+    writer_file,
+)
 
 DATA = Path(__file__).parent / "data" / "srp_episode_digests.json"
 
@@ -47,9 +64,14 @@ def episode(k, kind, truncate, seed):
     return family_srp_episode(k, kind, truncate, seed, BUDGET)
 
 
+def digest_table() -> dict:
+    return {case_id(*case): episode_digest(episode(*case)) for case in cases()}
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 8])
 def test_srp_episodes_match_frozen_digests(k):
-    frozen = json.loads(DATA.read_text())
+    data = dispatch_file(DATA)
+    frozen = json.loads(data.read_text())
     mismatched, shortest = [], None
     for case in cases():
         if case[0] != k:
@@ -58,7 +80,7 @@ def test_srp_episodes_match_frozen_digests(k):
         shortest = res.n_tasks if shortest is None else min(shortest, res.n_tasks)
         if episode_digest(res) != frozen[case_id(*case)]:
             mismatched.append(case_id(*case))
-    assert mismatched == [], numpy_host(DATA)
+    assert mismatched == [], numpy_host(data)
     # every episode drew past its second 512-stage block
     assert shortest > 2 * BLOCK
 
@@ -84,5 +106,9 @@ def test_every_digest_file_has_a_recorded_host():
     assert all(set(entry["verified_on"]) == {"numpy", "simd_dispatch"} for entry in hosts.values())
 
 
+def test_srp_episodes_match_frozen_digests_at_x86_v3():
+    check_digests_at_x86_v3("test_srp_digests", DATA)
+
+
 if __name__ == "__main__":
-    sys.exit(freeze(DATA, lambda: {case_id(*case): episode_digest(episode(*case)) for case in cases()}))
+    sys.exit(freeze(writer_file(DATA), digest_table))

@@ -7,8 +7,8 @@ BENCH_<n>.json.
 Each directory is a checkout's ``perfbench/out``, holding
 ``<workload>/seed<N>/record.json`` from
 ``perfbench/run.py --workload W --seed N --seconds S``.  Run the two sides in
-alternating pairs on the same seeds.  For every workload recorded on both
-sides at some of the seeds, the file holds each side's end-to-end metrics per seed
+alternating pairs on the same seeds.  For every workload in
+``BENCHMARK.json`` that is recorded on both sides at some of the seeds, the file holds each side's end-to-end metrics per seed
 and their medians, the change's median over the parent's, and each side's
 per-layer table as medians over the seeds (one traced run per seed).  For each
 end-to-end metric it also holds what a claimed gain is judged by: the number
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("online_pareto2", "srp_pareto2", "regret_k8_delay3")
+BENCHMARK = ROOT / "BENCHMARK.json"  # its workloads and metrics are the ones recorded
 
 
 def record_path(out_dir: Path, workload: str, seed: int) -> Path:
@@ -162,10 +162,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    benchmark = json.loads(BENCHMARK.read_text())
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
     workloads = {}
-    for workload in WORKLOADS:
+    for workload in (entry["name"] for entry in benchmark["workloads"]):
         seeds = [seed for seed in args.seeds
                  if all(record_path(d, workload, seed).is_file() for d in (args.parent, args.change))]
         if not seeds:
