@@ -79,11 +79,15 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class OfflineExperiment:
+    """The ``offline`` experiment: solve for the optimal randomized policy."""
+
     kind: str = "offline"
 
 
 @dataclass(frozen=True)
 class SimulateExperiment:
+    """The ``simulate`` experiment: Monte Carlo of one policy at one budget."""
+
     policy: str | SrpPolicy  # "online", "oracle_srp" or an explicit SRP
     budget: float
     trials: int
@@ -92,6 +96,8 @@ class SimulateExperiment:
 
 @dataclass(frozen=True)
 class RegretExperiment:
+    """The ``regret`` experiment: the learner's regret over a budget grid."""
+
     budget_grid: tuple[float, ...]
     trials: int
     kind: str = "regret"
@@ -102,6 +108,8 @@ Experiment = Union[OfflineExperiment, SimulateExperiment, RegretExperiment]
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config file: the groups, deadline menu, utilities and experiment."""
+
     groups: tuple[GroupModel, ...]
     deadlines: DeadlineSet
     utilities: tuple[UtilitySpec, ...]

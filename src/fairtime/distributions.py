@@ -44,13 +44,15 @@ def check_number(value, name: str, *, strict: bool = True) -> float:
     (>= 0 when not ``strict``).  bool is a number, numpy's too, but True
     would run as 1.0, so a bool fails; so do NaN, which compares false, a
     value that does not compare with 0 (a string, None, a complex) and an
-    int too large for a float."""
+    int too large for a float.  The message shows a string with ``repr``
+    (``got '0.5'``) and any other value with ``str``."""
     try:
         if not isinstance(value, (bool, np.bool_)) and (value > 0 if strict else value >= 0) and math.isfinite(value):
             return float(value)
     except (TypeError, OverflowError):
         pass
-    raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {value}")
+    shown = repr(value) if isinstance(value, str) else value  # a string must not read as the number it spells
+    raise ValueError(f"{name} must be finite and {'>' if strict else '>='} 0, got {shown}")
 
 
 def check_integer(value, name: str, minimum: int) -> int:
@@ -107,6 +109,8 @@ class Pareto:
 
 @dataclass(frozen=True)
 class Exponential:
+    """Exponential distribution with mean 1/rate."""
+
     rate: float
 
     def __post_init__(self):
@@ -147,6 +151,8 @@ class Exponential:
 
 @dataclass(frozen=True)
 class Deterministic:
+    """Completion time that always equals ``value``."""
+
     value: float
 
     def __post_init__(self):
@@ -222,6 +228,8 @@ class PowerOfTime:
 
 @dataclass(frozen=True)
 class Constant:
+    """Base reward ``value`` for every task, whatever its completion time."""
+
     value: float
 
     def __post_init__(self):

@@ -53,6 +53,8 @@ class GroupStats:
 
 @dataclass(frozen=True)
 class OfflineSolution:
+    """The offline optimum: per-group stats, time shares, selection and utility rate."""
+
     stats: tuple[GroupStats, ...]
     time_shares: np.ndarray      # phi, sums to 1
     selection: np.ndarray        # per-task group selection probabilities, sums to 1

@@ -124,6 +124,8 @@ Policy = SrpPolicy | LearnerParams
 
 @dataclass(frozen=True)
 class EpisodeResult:
+    """One budget-constrained episode: its tasks, per-group totals, rates and utility."""
+
     n_tasks: int
     per_group_time: np.ndarray
     per_group_reward: np.ndarray
@@ -138,6 +140,8 @@ class EpisodeResult:
 
 @dataclass(frozen=True)
 class McSummary:
+    """Across-trial means and standard errors of a Monte Carlo run, with its regret."""
+
     trials: int
     mean_reward_rates: np.ndarray
     se_reward_rates: np.ndarray
@@ -514,6 +518,8 @@ def monte_carlo(
 
 @dataclass(frozen=True)
 class RegretPoint:
+    """The learner's Monte Carlo regret at one budget of a regret curve."""
+
     budget: float
     v: float
     regret: float
@@ -523,6 +529,8 @@ class RegretPoint:
 
 @dataclass(frozen=True)
 class RegretCurve:
+    """Regret points over a budget grid and their fitted log-log slope."""
+
     points: tuple[RegretPoint, ...]
     slope: float  # least-squares log-log slope over included points (nan if < 2)
 
@@ -565,9 +573,13 @@ def regret_curve(
     """Estimate the learner's regret at each budget and fit a log-log slope.
 
     The grid must pass ``check_budget_grid``.  Each point reuses the same base
-    seed (common random numbers across budgets).
+    seed (common random numbers across budgets).  The slope is the closed-form
+    ordinary-least-squares fit of ``np.log`` regret on ``np.log`` budget over
+    the points with positive regret, ``nan`` when fewer than 2 remain.
     """
     grid = check_budget_grid(budget_grid)
+    base_seed = check_integer(base_seed, "seed", 0)
+    trials = check_integer(trials, "trials", 2)
     opt = solve(groups, deadlines, utilities).utility_rate
     points = []
     for b in grid:
@@ -588,7 +600,8 @@ def regret_curve(
     if len(included) >= 2:
         log_b = np.log([p.budget for p in included])
         log_r = np.log([p.regret for p in included])
-        slope = float(np.polyfit(log_b, log_r, 1)[0])
+        db = log_b - log_b.mean()
+        slope = float((db * (log_r - log_r.mean())).sum() / (db * db).sum())
     else:
         slope = math.nan
     return RegretCurve(points=tuple(points), slope=slope)

@@ -25,6 +25,8 @@ RATE_FLOOR = 1e-9
 
 @dataclass(frozen=True)
 class UtilitySpec:
+    """One group's alpha-fair utility: fairness exponent ``alpha`` and ``weight``."""
+
     alpha: float
     weight: float = 1.0
 

@@ -93,7 +93,8 @@ BAD = {"str": "1", "none": None, "complex": 1 + 0j, "bool": True, "numpy_bool": 
 ])
 def test_number_sites_reject_what_check_number_rejects(name, strict, site, bad):
     value = BAD.get(bad, -1.0)
-    message = f"{name} must be finite and {'>' if strict else '>='} 0, got {value}"
+    shown = repr(value) if isinstance(value, str) else value  # got '1': the type, not the value, is wrong
+    message = f"{name} must be finite and {'>' if strict else '>='} 0, got {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         site(value)
 

@@ -1,10 +1,13 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtime import (
     Constant,
@@ -433,7 +436,11 @@ def test_monte_carlo_matches_standalone_across_seed_chunks(policy, monkeypatch):
     (0, True, "trials must be an integer >= 2"),
 ], ids=["bool", "float", "negative", "one_trial", "float_trials", "fractional_trials", "str_trials",
         "bool_trials"])
-def test_monte_carlo_and_regret_curve_check_base_seed_and_trials(base_seed, trials, message):
+def test_monte_carlo_and_regret_curve_check_base_seed_and_trials(monkeypatch, base_seed, trials, message):
+    def no_solve(*args):
+        raise AssertionError("solve ran before the seed and trials were checked")
+
+    monkeypatch.setattr(sim, "solve", no_solve)
     groups, deadlines = two_group_env()
     us = uniform_utilities(1.0)
     with pytest.raises(ValueError, match=message):
@@ -528,6 +535,67 @@ def test_regret_curve_validates_grid():
         regret_curve(groups, deadlines, us, [100, 200, 200, 400], 5, 0)
     with pytest.raises(ValueError):
         regret_curve(groups, deadlines, us, [100, 200, 400, 800], 5, 0)  # 0.9 decades
+
+
+def _curve_from_regrets(budgets, regrets):
+    """``regret_curve`` over ``budgets`` with each point's regret given, not
+    simulated: ``solve`` and ``monte_carlo`` are replaced for the call."""
+    by_budget = dict(zip(map(float, budgets), regrets))
+    groups, deadlines = two_group_env()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "solve", lambda *args: types.SimpleNamespace(utility_rate=1.0))
+        mp.setattr(sim, "monte_carlo",
+                   lambda g, d, u, params, budget, *args, **kwargs:
+                   types.SimpleNamespace(regret=by_budget[budget], regret_se=0.0))
+        return regret_curve(groups, deadlines, uniform_utilities(1.0), budgets, 2, 0)
+
+
+# strictly increasing grids of 4-10 budgets that pass check_budget_grid
+valid_grids = (
+    st.lists(st.floats(1e-3, 1e7), min_size=4, max_size=10, unique=True)
+    .map(sorted)
+    .filter(lambda grid: grid[-1] / grid[0] >= 10 ** 1.5)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), grid=valid_grids)
+def test_slope_matches_polyfit_on_valid_grids(data, grid):
+    regrets = data.draw(st.lists(st.floats(1e-6, 1e3), min_size=len(grid), max_size=len(grid)))
+    curve = _curve_from_regrets(grid, regrets)
+    expected = np.polyfit(np.log(grid), np.log(regrets), 1)[0]
+    assert abs(curve.slope - expected) <= 1e-13
+
+
+def test_slope_is_nan_below_two_included_points():
+    grid = [10.0, 40.0, 160.0, 640.0]
+    assert math.isnan(_curve_from_regrets(grid, [0.0, -0.1, 0.0, -1e-3]).slope)
+    curve = _curve_from_regrets(grid, [0.0, 0.2, -0.1, 0.0])
+    assert [p.excluded for p in curve.points] == [True, False, True, True]
+    assert math.isnan(curve.slope)
+
+
+def test_slope_through_two_included_points_is_their_log_ratio():
+    grid = [10.0, 40.0, 160.0, 640.0]
+    curve = _curve_from_regrets(grid, [-0.1, 0.3, 0.0, 0.02])
+    expected = (math.log(0.02) - math.log(0.3)) / (math.log(640.0) - math.log(40.0))
+    assert curve.slope == pytest.approx(expected, rel=1e-15)
+
+
+def test_regret_curve_makes_no_lapack_call():
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("LAPACK least squares called")
+
+    groups, deadlines = two_group_env()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "polyfit", no_lapack)
+        mp.setattr(np.linalg, "lstsq", no_lapack)
+        # seed 2 leaves three of the four points with positive regret
+        curve = regret_curve(groups, deadlines, uniform_utilities(1.0), [10, 40, 160, 640], 2, 2)
+    included = [p for p in curve.points if not p.excluded]
+    assert len(included) == 3
+    expected = np.polyfit(np.log([p.budget for p in included]), np.log([p.regret for p in included]), 1)[0]
+    assert abs(curve.slope - expected) <= 1e-13
 
 
 @pytest.mark.parametrize("grid", [
